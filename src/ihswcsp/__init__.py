@@ -3,14 +3,7 @@
 from .driver import IterationCapExceeded, RunReport, SolverConfig, solve
 from .encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from .hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
-from .improve import (
-    ImproveOutcome,
-    improve_core,
-    improve_cost_bounded,
-    improve_lazy,
-    improve_maximal,
-    improve_partial_maximal,
-)
+from .improve import ImproveOutcome, improve_core
 from .merge import MergedProblem, build_merged, min_fill_order
 from .model import (
     Assignment,
@@ -31,7 +24,6 @@ from .wcsp_io import (
     GeneratorParams,
     WcspParseError,
     brute_force_optimum,
-    brute_force_optimum_slow,
     gen_scale_free,
     gen_uniform,
     parse_wcsp,
@@ -59,7 +51,6 @@ __all__ = [
     "WcspInstance",
     "WcspParseError",
     "brute_force_optimum",
-    "brute_force_optimum_slow",
     "build_merged",
     "cost",
     "cost_bounded_hv",
@@ -70,10 +61,6 @@ __all__ = [
     "greedy_hv",
     "hits",
     "improve_core",
-    "improve_cost_bounded",
-    "improve_lazy",
-    "improve_maximal",
-    "improve_partial_maximal",
     "make_cost_function",
     "maximal_subset",
     "min_cost_hv",

@@ -16,6 +16,7 @@ from .driver import HV_STRATEGIES, RunReport, SolverConfig, solve
 from .improve import STRATEGIES as CORE_STRATEGIES
 from .wcsp_io import GeneratorParams, gen_scale_free, gen_uniform, parse_wcsp, write_wcsp
 
+# the run's configuration, then the keys of _report_fields, then the error
 CSV_FIELDS = [
     "instance",
     "hv",
@@ -27,13 +28,20 @@ CSV_FIELDS = [
     "lb",
     "ub",
     "iterations",
+    "hv_calls",
+    "sat_calls",
+    "improve_probes",
+    "exact_fallbacks",
     "core_set_size",
+    "components",
     "hv_time_ms",
     "sat_time_ms",
     "improve_time_ms",
     "total_time_ms",
-    "seed",
+    "error",
 ]
+# the columns render_table reads; older CSVs with other columns still load
+TABLE_FIELDS = ["instance", "hv", "core", "merge", "disjoint", "status", "core_set_size", "total_time_ms"]
 
 
 def _onoff(value: str) -> bool:
@@ -54,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--disjoint", type=_onoff, default=False)
     p_solve.add_argument("--merge-cap", type=int, default=4096)
     p_solve.add_argument("--timeout", type=float, default=3600.0)
-    p_solve.add_argument("--seed", type=int, default=0)
 
     p_gen = sub.add_parser("generate", help="generate a random instance family")
     p_gen.add_argument("--class", dest="family", choices=("uniform", "scale-free"), required=True)
@@ -70,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--matrix", default=None, help="e.g. hv=lb,ub;core=maximal;merge=on")
     p_bench.add_argument("--timeout", type=float, default=3600.0)
     p_bench.add_argument("--merge-cap", type=int, default=4096)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--jobs", type=int, default=1)
 
     p_table = sub.add_parser("table", help="render ratio tables from a bench CSV")
@@ -99,7 +105,6 @@ def _cmd_solve(args) -> int:
         disjoint=args.disjoint,
         merge_cap=args.merge_cap,
         time_limit=args.timeout,
-        seed=args.seed,
     )
     try:
         report = solve(instance, cfg)
@@ -124,6 +129,7 @@ def _report_fields(report: RunReport) -> dict[str, object]:
         "hv_calls": report.hv_calls,
         "sat_calls": report.sat_calls,
         "improve_probes": report.improve_probes,
+        "exact_fallbacks": report.exact_fallbacks,
         "core_set_size": report.core_set_size,
         "components": report.components,
         "hv_time_ms": round(report.hv_time * 1000),
@@ -205,25 +211,13 @@ def parse_matrix(spec: str | None) -> list[tuple[str, str, bool, bool]]:
 
 
 def _bench_one(task: tuple) -> dict[str, object]:
-    path, hv, core, merge, disjoint, merge_cap, timeout, seed = task
-    name = Path(path).stem
+    path, hv, core, merge, disjoint, merge_cap, timeout = task
     row: dict[str, object] = {
-        "instance": name,
+        "instance": Path(path).stem,
         "hv": hv,
         "core": core,
         "merge": "on" if merge else "off",
         "disjoint": "on" if disjoint else "off",
-        "status": "error",
-        "optimum": "",
-        "lb": "",
-        "ub": "",
-        "iterations": "",
-        "core_set_size": "",
-        "hv_time_ms": "",
-        "sat_time_ms": "",
-        "improve_time_ms": "",
-        "total_time_ms": "",
-        "seed": seed,
     }
     try:
         instance = parse_wcsp(Path(path).read_text())
@@ -234,23 +228,12 @@ def _bench_one(task: tuple) -> dict[str, object]:
             disjoint=disjoint,
             merge_cap=merge_cap,
             time_limit=timeout,
-            seed=seed,
         )
         report = solve(instance, cfg)
-    except Exception:  # noqa: BLE001 - a failed run must not abort the batch
+    except Exception as exc:  # noqa: BLE001 - a failed run must not abort the batch
+        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return row
-    row.update(
-        status=report.status,
-        optimum="" if report.optimum is None else report.optimum,
-        lb="" if report.final_lb is None else report.final_lb,
-        ub="" if report.final_ub is None else report.final_ub,
-        iterations=report.iterations,
-        core_set_size=report.core_set_size,
-        hv_time_ms=round(report.hv_time * 1000),
-        sat_time_ms=round(report.sat_time * 1000),
-        improve_time_ms=round(report.improve_time * 1000),
-        total_time_ms=round(report.total_time * 1000),
-    )
+    row.update(_report_fields(report))
     return row
 
 
@@ -272,7 +255,7 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tasks = [
-        (path, hv, core, merge, disjoint, args.merge_cap, args.timeout, args.seed)
+        (path, hv, core, merge, disjoint, args.merge_cap, args.timeout)
         for path in paths
         for hv, core, merge, disjoint in matrix
     ]
@@ -285,7 +268,7 @@ def _cmd_bench(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -426,7 +409,7 @@ def _cmd_table(args) -> int:
     try:
         with path.open() as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(CSV_FIELDS) - set(reader.fieldnames):
+            if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
                 print("error: CSV schema mismatch", file=sys.stderr)
                 return 1
             rows = list(reader)

@@ -1,4 +1,4 @@
-"""The implicit-hitting-set main loops.
+"""The implicit-hitting-set main loop.
 
 Four hitting-vector flavors (exact lower-bound driven, cost-bounded
 upper-bound driven, and the two greedy variants falling back to either exact
@@ -9,11 +9,12 @@ strategies and optional cost-function merging and disjoint-core extraction.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Unsatisfiable
 from .hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
-from .improve import STRATEGIES, improve_core
+from .improve import STRATEGIES, ImproveOutcome, improve_core
 from .merge import build_merged
 from .model import Assignment, CoreSet, CostVector, WcspInstance, cost
 
@@ -32,7 +33,6 @@ class SolverConfig:
     disjoint: bool = False
     merge_cap: int = 4096
     time_limit: float = 3600.0
-    seed: int = 0
     iteration_cap: int = 10_000_000
     keep_cores: bool = False
 
@@ -53,8 +53,10 @@ class RunReport:
 
     ``sat_calls`` counts every induced-CSP solve (including improvement
     probes and the feasibility pre-check); ``improve_probes`` is the subset
-    spent inside core improvement and the disjoint-core phase.  Bounds and
-    the optimum include the instance's constant offset."""
+    spent inside core improvement and the disjoint-core phase.  ``sat_time``
+    is the time of all those solves, so it overlaps ``improve_time``, which
+    covers whole improvement and disjoint phases.  Bounds and the optimum
+    include the instance's constant offset."""
 
     status: str
     optimum: int | None
@@ -81,7 +83,6 @@ class RunReport:
 class _Run:
     def __init__(self, view: WcspInstance, cfg: SolverConfig, started: float):
         self.cfg = cfg
-        self.view = view
         self.enc = InducedCspEncoding(view)
         self.enc.deadline = started + cfg.time_limit
         self.space = LevelSpace.from_instance(view)
@@ -95,18 +96,8 @@ class _Run:
         self.exact_fallbacks = 0
         self.trace: list[tuple[int | None, int | None]] = []
         self.hv_time = 0.0
-        self.sat_time = 0.0
         self.improve_time = 0.0
         self.inserted: list[CostVector] = []
-
-    # -- timed primitives ------------------------------------------------------
-
-    def oracle(self, v: CostVector):
-        t = time.perf_counter()
-        try:
-            return self.enc.solve_induced(v)
-        finally:
-            self.sat_time += time.perf_counter() - t
 
     def hitting(self, kind: str):
         if self.enc.deadline is not None and time.perf_counter() > self.enc.deadline:
@@ -123,50 +114,38 @@ class _Run:
             self.hv_time += time.perf_counter() - t
             self.hv_calls += 1
 
-    def _record_solution(self, sv_cost: int, assignment: Assignment | None) -> None:
+    def _record_solution(self, sv_cost: int, assignment: Assignment | None) -> bool:
+        """Take the solution as the incumbent if it improves ub; returns
+        whether it did."""
         if self.ub is None or sv_cost < self.ub:
             self.ub = sv_cost
             self.best_assignment = assignment
+            return True
+        return False
 
-    def improve_and_add(self, h: CostVector) -> None:
-        t = time.perf_counter()
-        before = self.enc.num_solves
-        outcome = improve_core(self.cfg.core, h, self.ub, self.enc)
+    def _add_outcome(self, outcome: ImproveOutcome) -> None:
         self.cores.add(outcome.core)
         if self.cfg.keep_cores:
             self.inserted.append(outcome.core)
         if outcome.new_ub is not None:
             self._record_solution(outcome.new_ub, outcome.new_ub_assignment)
+
+    def improve_and_add(self, h: CostVector) -> None:
+        t = time.perf_counter()
+        before = self.enc.num_solves
+        outcome = improve_core(self.cfg.core, h, self.ub, self.enc)
+        self._add_outcome(outcome)
         if self.cfg.disjoint:
             self._disjoint_phase(h, outcome.core)
         self.improve_probes += self.enc.num_solves - before
         self.improve_time += time.perf_counter() - t
 
-    def _disjoint_phase(self, h: CostVector, k: CostVector, limit: int | None = None) -> None:
-        max_levels = tuple(f.levels[-1] for f in self.view.cost_functions)
-        if limit is None:
-            limit = len(max_levels)
-        used = {i for i in range(len(k)) if k[i] < max_levels[i]}
-        extras = 0
-        while extras < limit:
-            probe = tuple(
-                max_levels[i] if i in used else h[i] for i in range(len(h))
-            )
-            res = self.enc.solve_induced(probe)
-            if isinstance(res, Satisfiable):
-                self._record_solution(cost(res.solution_vector), res.assignment)
-                return
-            outcome = improve_core(self.cfg.core, probe, self.ub, self.enc)
-            self.cores.add(outcome.core)
-            if self.cfg.keep_cores:
-                self.inserted.append(outcome.core)
-            if outcome.new_ub is not None:
-                self._record_solution(outcome.new_ub, outcome.new_ub_assignment)
-            extras += 1
-            active = {i for i in range(len(outcome.core)) if outcome.core[i] < max_levels[i]}
-            if not active:
-                return
-            used |= active
+    def _disjoint_phase(self, h: CostVector, k: CostVector) -> None:
+        for found in disjoint_core_phase(h, k, self.enc, self.cfg.core, self.ub):
+            if isinstance(found, Satisfiable):
+                self._record_solution(cost(found.solution_vector), found.assignment)
+            else:
+                self._add_outcome(found)
 
     # -- iteration bookkeeping ---------------------------------------------------
 
@@ -186,106 +165,72 @@ def disjoint_core_phase(
     h: CostVector,
     k: CostVector,
     enc: InducedCspEncoding,
-    limit: int,
-    strategy: str = "maximal",
-) -> list[CostVector]:
-    """Standalone disjoint-core extraction: repeatedly re-solve with all
-    previously active components released to their maximum, improving each
-    new conflict into a core whose active components are disjoint from the
-    earlier ones by construction."""
-    max_levels = tuple(f.levels[-1] for f in enc.instance.cost_functions)
+    strategy: str,
+    ub: int | None = None,
+    limit: int | None = None,
+) -> Iterator[ImproveOutcome | Satisfiable]:
+    """Disjoint-core extraction after ``h`` was improved into the core ``k``:
+    repeatedly re-solve with all previously active components released to
+    their maximum, improving each new conflict into a core whose active
+    components are disjoint from the earlier ones by construction.
+
+    Yields the improvement outcome of each new core in order, then the
+    satisfiable answer that ended the phase, if one did.  The phase also
+    stops after ``limit`` cores (default: the number of components) or at a
+    core with no active component.  ``ub`` is the incumbent cost; the
+    solutions the outcomes find tighten it for the later improvements.  A
+    caller that consumes the outcomes as they come keeps them when a
+    deadline interrupts the phase."""
+    max_levels = enc.max_vector()
+    if limit is None:
+        limit = len(max_levels)
     used = {i for i in range(len(k)) if k[i] < max_levels[i]}
-    out: list[CostVector] = []
-    while len(out) < limit:
+    for _ in range(limit):
         probe = tuple(max_levels[i] if i in used else h[i] for i in range(len(h)))
         res = enc.solve_induced(probe)
         if isinstance(res, Satisfiable):
-            break
-        outcome = improve_core(strategy, probe, None, enc)
-        out.append(outcome.core)
+            yield res
+            return
+        outcome = improve_core(strategy, probe, ub, enc)
+        yield outcome
+        if outcome.new_ub is not None and (ub is None or outcome.new_ub < ub):
+            ub = outcome.new_ub
         active = {i for i in range(len(outcome.core)) if outcome.core[i] < max_levels[i]}
         if not active:
-            break
+            return
         used |= active
-    return out
 
 
 # ---------------------------------------------------------------------------
-# the four loops
+# the main loop
 
 
-def _loop_lb(run: _Run) -> None:
+def _loop(run: _Run, exact: str, greedy: bool) -> None:
+    """The IHS loop.  ``exact`` names the exact hitting oracle: "min" (a
+    minimum-cost vector, whose cost is a lower bound) or "bounded" (any
+    vector cheaper than ub, None when none exists, which closes the bounds).
+    With ``greedy`` the loop asks for greedy vectors instead, and runs one
+    exact iteration after any greedy vector whose solution does not improve
+    ub."""
+    fallback = False
     while run.open_bounds():
         run.tick()
-        h = run.hitting("min")
-        run.lb = cost(h)
-        res = run.oracle(h)
-        if isinstance(res, Satisfiable):
-            run.ub = cost(h)
-            run.best_assignment = res.assignment
-        else:
-            run.improve_and_add(h)
-        run.snap()
-
-
-def _exact_ub_iteration(run: _Run) -> bool:
-    """One cost-bounded iteration; returns True when the NUL answer closed
-    the bounds."""
-    h = run.hitting("bounded")
-    if h is None:
-        run.lb = run.ub
-        return True
-    res = run.oracle(h)
-    if isinstance(res, Satisfiable):
-        run._record_solution(cost(res.solution_vector), res.assignment)
-    else:
-        run.improve_and_add(h)
-    return False
-
-
-def _loop_ub(run: _Run) -> None:
-    while run.open_bounds():
-        run.tick()
-        done = _exact_ub_iteration(run)
-        run.snap()
-        if done:
-            return
-
-
-def _loop_grd(run: _Run, fallback: str) -> None:
-    force_exact = False
-    while run.open_bounds():
-        run.tick()
-        if force_exact:
-            force_exact = False
+        kind = "greedy" if greedy and not fallback else exact
+        if fallback:
             run.exact_fallbacks += 1
-            if fallback == "lb":
-                h = run.hitting("min")
-                run.lb = cost(h)
-                res = run.oracle(h)
-                if isinstance(res, Satisfiable):
-                    run.ub = cost(h)
-                    run.best_assignment = res.assignment
-                else:
-                    run.improve_and_add(h)
-                run.snap()
-            else:
-                done = _exact_ub_iteration(run)
-                run.snap()
-                if done:
-                    return
-            continue
-        h = run.hitting("greedy")
-        res = run.oracle(h)
-        if isinstance(res, Satisfiable):
-            sv_cost = cost(res.solution_vector)
-            if run.ub is None or sv_cost < run.ub:
-                run.ub = sv_cost
-                run.best_assignment = res.assignment
-            else:
-                force_exact = True
+            fallback = False
+        h = run.hitting(kind)
+        if h is None:
+            run.lb = run.ub
         else:
-            run.improve_and_add(h)
+            if kind == "min":
+                run.lb = cost(h)
+            res = run.enc.solve_induced(h)
+            if isinstance(res, Satisfiable):
+                improved = run._record_solution(cost(res.solution_vector), res.assignment)
+                fallback = kind == "greedy" and not improved
+            else:
+                run.improve_and_add(h)
         run.snap()
 
 
@@ -309,17 +254,11 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     offset = view.constant_offset
     status = "optimal"
     try:
-        res = run.oracle(run.enc.max_vector())
+        res = run.enc.solve_induced(run.enc.max_vector())
         if isinstance(res, Unsatisfiable):
             return _report(run, "infeasible", None, started, offset)
-        if cfg.hv == "lb":
-            _loop_lb(run)
-        elif cfg.hv == "ub":
-            _loop_ub(run)
-        elif cfg.hv == "grd-lb":
-            _loop_grd(run, "lb")
-        else:
-            _loop_grd(run, "ub")
+        greedy = cfg.hv.startswith("grd-")
+        _loop(run, "min" if cfg.hv.endswith("lb") else "bounded", greedy)
     except SolveDeadlineExceeded:
         status = "timeout"
     if status == "optimal":
@@ -350,7 +289,7 @@ def _report(
         exact_fallbacks=run.exact_fallbacks,
         bounds_trace=[(off(lb), off(ub)) for lb, ub in run.trace],
         hv_time=run.hv_time,
-        sat_time=run.sat_time,
+        sat_time=run.enc.solve_time,
         improve_time=run.improve_time,
         total_time=time.perf_counter() - started,
         best_assignment=run.best_assignment,

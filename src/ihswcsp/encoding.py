@@ -46,6 +46,7 @@ class InducedCspEncoding:
         self.instance = instance
         self.solver = Solver()
         self.num_solves = 0
+        self.solve_time = 0.0
         self.deadline: float | None = None
         self._last: tuple[CostVector, Satisfiable | Unsatisfiable] | None = None
 
@@ -137,9 +138,10 @@ class InducedCspEncoding:
 
         SAT answers carry the decoded assignment and its solution vector
         (componentwise <= v); UNSAT answers carry the lazy core read off the
-        failed assumptions.
+        failed assumptions.  The call's time is added to ``solve_time``.
         """
-        if self.deadline is not None and time.perf_counter() > self.deadline:
+        started = time.perf_counter()
+        if self.deadline is not None and started > self.deadline:
             raise SolveDeadlineExceeded
         v = tuple(v)
         res = self.solver.solve(self.assumptions_for(v))
@@ -163,6 +165,7 @@ class InducedCspEncoding:
             )
             out = Unsatisfiable(lazy)
         self._last = (v, out)
+        self.solve_time += time.perf_counter() - started
         return out
 
     def lazy_core_of(self, h: CostVector) -> CostVector:

@@ -89,81 +89,64 @@ class HittingProblem:
         return bound
 
 
-def min_cost_hv(problem: HittingProblem) -> CostVector:
-    """Minimum-cost vector hitting every core; ties broken toward the
-    lexicographically smallest vector."""
+def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVector | None:
+    """Depth-first B&B for a hitting vector of cost at most ``limit`` (None
+    means no bound).  With ``first`` it returns the first such leaf;
+    otherwise each leaf tightens ``limit`` to its own cost and the result is
+    the minimum-cost vector, ties broken toward the lexicographically
+    smallest."""
     problem._check_hittable()
-    space = problem.space
-    h = list(space.baseline)
+    h = list(problem.space.baseline)
     cores = problem.cores
     witnesses = problem.witnesses
-    best_cost: int | None = None
-    best_vec: CostVector | None = None
+    best: CostVector | None = None
     visited: set[CostVector] = set()
 
-    def dfs(current_cost: int, unhit: list[int]) -> None:
-        nonlocal best_cost, best_vec
+    def dfs(current_cost: int, unhit: list[int]) -> bool:
+        """True when the search should stop."""
+        nonlocal limit, best
         if not unhit:
             vec = tuple(h)
-            if best_cost is None or current_cost < best_cost or (
-                current_cost == best_cost and vec < best_vec
+            if limit is None or current_cost < limit or (
+                current_cost == limit and (best is None or vec < best)
             ):
-                best_cost, best_vec = current_cost, vec
-            return
-        if best_cost is not None:
-            if current_cost + problem._residual_bound(h, unhit) > best_cost:
-                return
+                limit, best = current_cost, vec
+                return first
+            return False
+        if limit is not None:
+            if current_cost + problem._residual_bound(h, unhit) > limit:
+                return False
         state = tuple(h)
         if state in visited:  # the same vector is reachable by permuted raises
-            return
+            return False
         visited.add(state)
         pick = min(unhit, key=lambda idx: (len(witnesses[idx]), idx))
         branches = sorted((wl - h[i], i, wl) for i, wl in witnesses[pick].items())
         for _, i, wl in branches:
             old = h[i]
             h[i] = wl
-            dfs(current_cost + wl - old, [idx for idx in unhit if cores[idx][i] >= wl])
+            stop = dfs(current_cost + wl - old, [idx for idx in unhit if cores[idx][i] >= wl])
             h[i] = old
+            if stop:
+                return True
+        return False
 
     dfs(sum(h), problem._unhit(h))
-    assert best_vec is not None
-    return best_vec
+    return best
+
+
+def min_cost_hv(problem: HittingProblem) -> CostVector:
+    """Minimum-cost vector hitting every core; ties broken toward the
+    lexicographically smallest vector."""
+    best = _search(problem, None, first=False)
+    assert best is not None
+    return best
 
 
 def cost_bounded_hv(problem: HittingProblem, ub: int | None) -> CostVector | None:
     """Any hitting vector of cost strictly below ``ub`` (None means no bound),
     or None when none exists; stops at the first feasible leaf."""
-    problem._check_hittable()
-    space = problem.space
-    h = list(space.baseline)
-    cores = problem.cores
-    witnesses = problem.witnesses
-    visited: set[CostVector] = set()
-
-    def dfs(current_cost: int, unhit: list[int]) -> CostVector | None:
-        if not unhit:
-            if ub is None or current_cost < ub:
-                return tuple(h)
-            return None
-        if ub is not None:
-            if current_cost + problem._residual_bound(h, unhit) >= ub:
-                return None
-        state = tuple(h)
-        if state in visited:
-            return None
-        visited.add(state)
-        pick = min(unhit, key=lambda idx: (len(witnesses[idx]), idx))
-        branches = sorted((wl - h[i], i, wl) for i, wl in witnesses[pick].items())
-        for _, i, wl in branches:
-            old = h[i]
-            h[i] = wl
-            found = dfs(current_cost + wl - old, [idx for idx in unhit if cores[idx][i] >= wl])
-            h[i] = old
-            if found is not None:
-                return found
-        return None
-
-    return dfs(sum(h), problem._unhit(h))
+    return _search(problem, None if ub is None else ub - 1, first=True)
 
 
 def greedy_hv(problem: HittingProblem) -> CostVector:

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from .encoding import InducedCspEncoding, Satisfiable
 from .model import Assignment, CostVector, cost
 
-STRATEGIES = ("lazy", "cost-bounded", "partial-max", "maximal")
+# strategy -> (respect_ub, stop_on_sat) of its raise loop; None for lazy,
+# which keeps the failed-assumption core as it is
+_RAISE_SETTINGS: dict[str, tuple[bool, bool] | None] = {
+    "lazy": None,
+    "cost-bounded": (True, False),
+    "partial-max": (False, True),
+    "maximal": (False, False),
+}
+STRATEGIES = tuple(_RAISE_SETTINGS)
 
 
 @dataclass
@@ -25,23 +33,29 @@ class ImproveOutcome:
     probes: int
 
 
-def improve_lazy(h: CostVector, oracle: InducedCspEncoding) -> ImproveOutcome:
-    """No improvement beyond the failed-assumption core; zero extra probes
-    when the oracle just answered for ``h``."""
-    before = oracle.num_solves
-    core = oracle.lazy_core_of(h)
-    return ImproveOutcome(core, None, None, oracle.num_solves - before)
-
-
-def _raise_loop(
-    h: CostVector,
-    oracle: InducedCspEncoding,
-    ub: int | None,
-    stop_on_sat: bool,
+def improve_core(
+    strategy: str, h: CostVector, ub: int | None, oracle: InducedCspEncoding
 ) -> ImproveOutcome:
-    funcs = oracle.instance.cost_functions
+    """Improve the lazy core of the unsatisfiable vector ``h``.
+
+    ``lazy`` returns the failed-assumption core (no extra probe when the
+    oracle just answered for ``h``).  The other strategies raise and probe:
+    ``maximal`` until no component can rise, ``cost-bounded`` until the core
+    costs at least ``ub`` as well, and ``partial-max`` until the first
+    satisfiable probe (components at their maximum are skipped, not counted
+    as a stop).  The best solution a probe finds is returned as ``new_ub``.
+    """
+    if strategy not in _RAISE_SETTINGS:
+        raise ValueError(f"unknown core strategy {strategy!r}")
+    settings = _RAISE_SETTINGS[strategy]
     before = oracle.num_solves
     k = list(oracle.lazy_core_of(h))
+    if settings is None:
+        return ImproveOutcome(tuple(k), None, None, oracle.num_solves - before)
+    respect_ub, stop_on_sat = settings
+    if not respect_ub:
+        ub = None
+    funcs = oracle.instance.cost_functions
     best_cost: int | None = None
     best_assignment: Assignment | None = None
     next_index = [
@@ -68,37 +82,3 @@ def _raise_loop(
             if k[i] >= funcs[i].levels[-1]:
                 candidates.remove(i)
     return ImproveOutcome(tuple(k), best_cost, best_assignment, oracle.num_solves - before)
-
-
-def improve_maximal(h: CostVector, oracle: InducedCspEncoding) -> ImproveOutcome:
-    """Destructive raise-and-probe until no component can rise: the result is
-    a maximal core."""
-    return _raise_loop(h, oracle, ub=None, stop_on_sat=False)
-
-
-def improve_cost_bounded(
-    h: CostVector, ub: int | None, oracle: InducedCspEncoding
-) -> ImproveOutcome:
-    """Raise-and-probe until the core's cost reaches ``ub`` (or nothing can
-    rise); with an infinite bound this equals improve_maximal."""
-    return _raise_loop(h, oracle, ub=ub, stop_on_sat=False)
-
-
-def improve_partial_maximal(h: CostVector, oracle: InducedCspEncoding) -> ImproveOutcome:
-    """Raise-and-probe, stopping the first time a probe is satisfiable;
-    components at their maximum are skipped, not counted as a stop."""
-    return _raise_loop(h, oracle, ub=None, stop_on_sat=True)
-
-
-def improve_core(
-    strategy: str, h: CostVector, ub: int | None, oracle: InducedCspEncoding
-) -> ImproveOutcome:
-    if strategy == "lazy":
-        return improve_lazy(h, oracle)
-    if strategy == "cost-bounded":
-        return improve_cost_bounded(h, ub, oracle)
-    if strategy == "partial-max":
-        return improve_partial_maximal(h, oracle)
-    if strategy == "maximal":
-        return improve_maximal(h, oracle)
-    raise ValueError(f"unknown core strategy {strategy!r}")

@@ -312,15 +312,3 @@ def brute_force_optimum(w: WcspInstance, limit: int = 1 << 20) -> int | None:
     if not feasible.any():
         return None
     return int(total[feasible].min()) + w.constant_offset
-
-
-def brute_force_optimum_slow(w: WcspInstance) -> int | None:
-    """Independent second enumerator: plain nested iteration, last variable
-    varying slowest, evaluated through the model's evaluate()."""
-    best: int | None = None
-    for rev in itertools.product(*(range(d) for d in reversed(w.domains))):
-        a = tuple(reversed(rev))
-        feasible, _, tot = evaluate(w, a)
-        if feasible and (best is None or tot < best):
-            best = tot
-    return best + w.constant_offset if best is not None else None

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from ihswcsp.model import HardConstraint, WcspInstance, make_cost_function
+from ihswcsp.model import HardConstraint, WcspInstance, evaluate, make_cost_function
 
 
 def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
@@ -119,3 +119,15 @@ def random_tiny_instance(
 
 def enumerate_assignments(instance: WcspInstance):
     return itertools.product(*(range(d) for d in instance.domains))
+
+
+def brute_force_optimum_slow(w: WcspInstance) -> int | None:
+    """Independent second enumerator: plain nested iteration, last variable
+    varying slowest, evaluated through the model's evaluate()."""
+    best: int | None = None
+    for rev in itertools.product(*(range(d) for d in reversed(w.domains))):
+        a = tuple(reversed(rev))
+        feasible, _, tot = evaluate(w, a)
+        if feasible and (best is None or tot < best):
+            best = tot
+    return best + w.constant_offset if best is not None else None

@@ -140,7 +140,9 @@ def test_bench_records_error_rows(tmp_path):
         rows = list(csv.DictReader(fh))
     by_name = {r["instance"]: r for r in rows}
     assert by_name["broken"]["status"] == "error"
+    assert by_name["broken"]["error"].startswith("WcspParseError: ")
     assert by_name["good"]["status"] == "optimal"
+    assert by_name["good"]["error"] == ""
 
 
 def test_bench_rows_deterministic_modulo_times(tmp_path):
@@ -233,3 +235,18 @@ def test_table_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["table", "--csv", str(bad)]) == 1
+
+
+def test_table_reads_csv_of_older_schema(tmp_path, capsys):
+    # older bench CSVs carry a seed column and lack the counter and error columns
+    rows = [
+        _mk_row("fam_0", "lb", "maximal", "off", "optimal", 10_000, 4),
+        _mk_row("fam_0", "ub", "maximal", "off", "optimal", 25_000, 6),
+    ]
+    old = tmp_path / "old.csv"
+    with old.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["table", "--csv", str(old), "--kind", "time-ratio", "--timeout", "60"]) == 0
+    assert "2.50 (0)" in capsys.readouterr().out

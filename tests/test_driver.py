@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from ihswcsp.driver import IterationCapExceeded, SolverConfig, disjoint_core_phase, solve
-from ihswcsp.encoding import InducedCspEncoding, Unsatisfiable
+from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
 from ihswcsp.improve import improve_core
 from ihswcsp.merge import build_merged
@@ -142,12 +143,14 @@ def test_disjoint_phase_standalone():
     res = enc.solve_induced((0, 0))
     assert isinstance(res, Unsatisfiable)
     out = improve_core("maximal", (0, 0), None, enc)
-    extras = disjoint_core_phase((0, 0), out.core, enc, limit=10)
+    *extras, last = disjoint_core_phase((0, 0), out.core, enc, "maximal", limit=10)
     assert len(extras) == 1
     fresh = InducedCspEncoding(w)
-    for k in extras:
-        assert isinstance(fresh.solve_induced(k), Unsatisfiable)
-    assert disjoint_core_phase((0, 0), out.core, enc, limit=0) == []
+    for outcome in extras:
+        assert isinstance(fresh.solve_induced(outcome.core), Unsatisfiable)
+    # both conflicts are covered, so the closing probe is satisfiable
+    assert isinstance(last, Satisfiable)
+    assert list(disjoint_core_phase((0, 0), out.core, enc, "maximal", limit=0)) == []
 
 
 def test_single_conflict_instance_yields_no_extras():
@@ -155,7 +158,24 @@ def test_single_conflict_instance_yields_no_extras():
     enc = InducedCspEncoding(w)
     enc.solve_induced((0,))
     out = improve_core("maximal", (0,), None, enc)
-    assert disjoint_core_phase((0,), out.core, enc, limit=10) == []
+    found = list(disjoint_core_phase((0,), out.core, enc, "maximal", limit=10))
+    assert len(found) == 1 and isinstance(found[0], Satisfiable)
+
+
+def test_sat_time_bills_improvement_and_disjoint_probes(monkeypatch):
+    from ihswcsp.sat import Solver
+
+    pause = 0.005
+    inner = Solver.solve
+
+    def slow_solve(self, *args, **kwargs):
+        time.sleep(pause)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", slow_solve)
+    report = solve(_two_conflicts_instance(), SolverConfig(hv="lb", core="maximal", disjoint=True))
+    assert report.improve_probes > 0
+    assert report.sat_time >= report.sat_calls * pause
 
 
 def test_timeout_reported():
@@ -207,6 +227,44 @@ def test_grd_exact_fallback_engages_and_stays_correct():
             if report.exact_fallbacks > 0:
                 found = True
     assert found, "no greedy run ever fell back to an exact iteration"
+
+
+# (hv, disjoint) -> (bounds_trace, iterations, hv_calls, sat_calls,
+# exact_fallbacks, core_set_size) for GOLDEN_PARAMS under maximal cores
+GOLDEN_PARAMS = GeneratorParams(8, 3, 10, 2, 6, seed=5)
+GOLDEN = {
+    ("lb", False): ([(0, 43), (6, 25), (6, 25), (10, 25), (11, 21), (15, 21), (15, 15)], 7, 7, 53, 0, 6),
+    ("lb", True): ([(0, 36), (10, 25), (10, 25), (14, 25), (15, 22), (15, 15)], 6, 6, 55, 0, 7),
+    ("ub", False): (
+        [(0, 43), (0, 43), (0, 32), (0, 32), (0, 32), (0, 32), (0, 26), (0, 25), (0, 21), (0, 17), (0, 15), (15, 15)],
+        12, 12, 67, 0, 9,
+    ),
+    ("ub", True): ([(0, 36), (0, 25), (0, 25), (0, 25), (0, 17), (0, 15), (15, 15)], 7, 7, 53, 0, 7),
+    ("grd-lb", False): (
+        [(0, 43), (0, 43), (0, 32), (0, 32), (0, 32), (0, 15), (0, 15), (14, 15), (14, 15), (14, 15), (15, 15)],
+        11, 11, 65, 2, 7,
+    ),
+    ("grd-lb", True): (
+        [(0, 36), (0, 25), (0, 25), (0, 25), (0, 15), (0, 15), (14, 15), (14, 15), (15, 15)],
+        9, 9, 64, 2, 8,
+    ),
+    ("grd-ub", False): (
+        [(0, 43), (0, 43), (0, 32), (0, 32), (0, 32), (0, 15), (0, 15), (0, 15), (0, 15), (0, 15), (15, 15)],
+        11, 11, 64, 2, 7,
+    ),
+    ("grd-ub", True): (
+        [(0, 36), (0, 25), (0, 25), (0, 25), (0, 15), (0, 15), (0, 15), (0, 15), (15, 15)],
+        9, 9, 63, 2, 8,
+    ),
+}
+
+
+@pytest.mark.parametrize("hv, disjoint", sorted(GOLDEN))
+def test_golden_trace(hv, disjoint):
+    w = gen_uniform(GOLDEN_PARAMS)
+    r = solve(w, SolverConfig(hv=hv, core="maximal", disjoint=disjoint))
+    got = (r.bounds_trace, r.iterations, r.hv_calls, r.sat_calls, r.exact_fallbacks, r.core_set_size)
+    assert got == GOLDEN[hv, disjoint]
 
 
 def test_merge_changes_component_count_not_optimum():

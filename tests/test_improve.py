@@ -4,13 +4,7 @@ import random
 import pytest
 
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
-from ihswcsp.improve import (
-    improve_core,
-    improve_cost_bounded,
-    improve_lazy,
-    improve_maximal,
-    improve_partial_maximal,
-)
+from ihswcsp.improve import improve_core
 from ihswcsp.model import CostFunction, WcspInstance, dominates, evaluate, make_cost_function
 from oracles import random_tiny_instance
 
@@ -39,7 +33,7 @@ def test_maximal_on_forced_instance():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
     assert isinstance(enc.solve_induced((0,)), Unsatisfiable)
-    out = improve_maximal((0,), enc)
+    out = improve_core("maximal", (0,), None, enc)
     assert out.core == (1,)
     assert out.probes == 2  # raise to 1 (unsat), raise to 2 (sat)
     assert out.new_ub == 2
@@ -51,10 +45,10 @@ def test_lazy_is_free_and_deterministic():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
     enc.solve_induced((0,))
-    out1 = improve_lazy((0,), enc)
+    out1 = improve_core("lazy", (0,), None, enc)
     assert out1.probes == 0
     enc.solve_induced((0,))
-    out2 = improve_lazy((0,), enc)
+    out2 = improve_core("lazy", (0,), None, enc)
     assert out1.core == out2.core
     assert out1.new_ub is None
 
@@ -63,7 +57,7 @@ def test_cost_bounded_stops_at_entry():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
     enc.solve_induced((0,))
-    out = improve_cost_bounded((0,), 0, enc)
+    out = improve_core("cost-bounded", (0,), 0, enc)
     assert out.core == (0,)
     assert out.probes == 0
 
@@ -77,10 +71,10 @@ def test_cost_bounded_with_infinite_bound_equals_maximal():
         baseline = enc.baseline_vector()
         if isinstance(enc.solve_induced(baseline), Satisfiable):
             continue
-        a = improve_cost_bounded(baseline, None, enc)
+        a = improve_core("cost-bounded", baseline, None, enc)
         enc2 = InducedCspEncoding(w)
         enc2.solve_induced(baseline)
-        b = improve_maximal(baseline, enc2)
+        b = improve_core("maximal", baseline, None, enc2)
         assert a.core == b.core
         assert a.probes == b.probes
         checked += 1
@@ -93,7 +87,7 @@ def test_partial_maximal_stops_on_first_sat_probe():
     res = enc.solve_induced(baseline)
     assert isinstance(res, Unsatisfiable)
     assert res.lazy_core == (0, 0)  # both bounds are needed for the conflict
-    out = improve_partial_maximal(baseline, enc)
+    out = improve_core("partial-max", baseline, None, enc)
     # scripted trace: raise f1 0->1 keeps the conflict (x=1 is hard-forbidden),
     # raise f2 0->1 frees y=1 and stops the loop
     assert out.core == (1, 0)
@@ -105,7 +99,7 @@ def test_maximal_continues_past_sat_components():
     enc = InducedCspEncoding(w)
     baseline = enc.baseline_vector()
     enc.solve_induced(baseline)
-    out = improve_maximal(baseline, enc)
+    out = improve_core("maximal", baseline, None, enc)
     assert out.core == (1, 0)
     assert out.probes == 3
     assert out.new_ub == 1
@@ -153,7 +147,7 @@ def test_maximal_output_is_maximal():
         baseline = enc.baseline_vector()
         if isinstance(enc.solve_induced(baseline), Satisfiable):
             continue
-        out = improve_maximal(baseline, enc)
+        out = improve_core("maximal", baseline, None, enc)
         k = out.core
         fresh = InducedCspEncoding(w)
         for i, f in enumerate(w.cost_functions):
@@ -169,4 +163,4 @@ def test_improve_lazy_rejects_solution_vector():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
     with pytest.raises(ValueError):
-        improve_lazy((2,), enc)
+        improve_core("lazy", (2,), None, enc)

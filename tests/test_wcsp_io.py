@@ -10,13 +10,12 @@ from ihswcsp.wcsp_io import (
     GeneratorParams,
     WcspParseError,
     brute_force_optimum,
-    brute_force_optimum_slow,
     gen_scale_free,
     gen_uniform,
     parse_wcsp,
     write_wcsp,
 )
-from oracles import random_tiny_instance
+from oracles import brute_force_optimum_slow, random_tiny_instance
 
 SMALLEST = "ex 1 1 1 10\n1\n1 0 0 1\n0 1\n"
 
