@@ -13,11 +13,9 @@ import argparse
 import random
 import sys
 
-from ihswcsp.driver import SolverConfig, solve
+from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
+from ihswcsp.improve import STRATEGIES
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform, write_wcsp
-
-HV = ("lb", "ub", "grd-lb", "grd-ub")
-CORE = ("lazy", "cost-bounded", "partial-max", "maximal")
 
 
 def run(argv=None) -> int:
@@ -41,8 +39,8 @@ def run(argv=None) -> int:
                                 seed=rng.randrange(1 << 30))
             inst = gen_uniform(p)
         expected = brute_force_optimum(inst)
-        for hv in HV:
-            for core in CORE:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 for merge in (False, True):
                     report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge))
                     if report.optimum != expected:
@@ -50,7 +48,8 @@ def run(argv=None) -> int:
                               f"got {report.optimum}, expected {expected}")
                         print(write_wcsp(inst))
                         return 1
-        print(f"trial {trial}: optimum {expected} confirmed by all 32 configurations")
+        configs = len(HV_STRATEGIES) * len(STRATEGIES) * 2
+        print(f"trial {trial}: optimum {expected} confirmed by all {configs} configurations")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from .driver import IterationCapExceeded, RunReport, SolverConfig, solve
 from .encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
-from .hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
+from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import ImproveOutcome, improve_core
 from .merge import MergedProblem, build_merged, min_fill_order
 from .model import (
@@ -11,6 +11,7 @@ from .model import (
     CostFunction,
     CostVector,
     HardConstraint,
+    LevelSpace,
     WcspInstance,
     cost,
     dominates,

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Unsatisfiable
-from .hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
+from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import STRATEGIES, ImproveOutcome, improve_core
 from .merge import build_merged
 from .model import Assignment, CoreSet, CostVector, WcspInstance, cost
@@ -85,7 +85,6 @@ class _Run:
         self.cfg = cfg
         self.enc = InducedCspEncoding(view)
         self.enc.deadline = started + cfg.time_limit
-        self.space = LevelSpace.from_instance(view)
         self.cores = CoreSet()
         self.lb = 0
         self.ub: int | None = None
@@ -102,7 +101,7 @@ class _Run:
     def hitting(self, kind: str):
         if self.enc.deadline is not None and time.perf_counter() > self.enc.deadline:
             raise SolveDeadlineExceeded
-        problem = HittingProblem(self.space, self.cores)
+        problem = HittingProblem(self.enc.space, self.cores)
         t = time.perf_counter()
         try:
             if kind == "min":
@@ -130,10 +129,10 @@ class _Run:
         if outcome.new_ub is not None:
             self._record_solution(outcome.new_ub, outcome.new_ub_assignment)
 
-    def improve_and_add(self, h: CostVector) -> None:
+    def improve_and_add(self, h: CostVector, lazy_core: CostVector) -> None:
         t = time.perf_counter()
         before = self.enc.num_solves
-        outcome = improve_core(self.cfg.core, h, self.ub, self.enc)
+        outcome = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
         self._add_outcome(outcome)
         if self.cfg.disjoint:
             self._disjoint_phase(h, outcome.core)
@@ -181,7 +180,7 @@ def disjoint_core_phase(
     solutions the outcomes find tighten it for the later improvements.  A
     caller that consumes the outcomes as they come keeps them when a
     deadline interrupts the phase."""
-    max_levels = enc.max_vector()
+    max_levels = enc.space.maximum
     if limit is None:
         limit = len(max_levels)
     used = {i for i in range(len(k)) if k[i] < max_levels[i]}
@@ -191,7 +190,7 @@ def disjoint_core_phase(
         if isinstance(res, Satisfiable):
             yield res
             return
-        outcome = improve_core(strategy, probe, ub, enc)
+        outcome = improve_core(strategy, res.lazy_core, ub, enc)
         yield outcome
         if outcome.new_ub is not None and (ub is None or outcome.new_ub < ub):
             ub = outcome.new_ub
@@ -230,7 +229,7 @@ def _loop(run: _Run, exact: str, greedy: bool) -> None:
                 improved = run._record_solution(cost(res.solution_vector), res.assignment)
                 fallback = kind == "greedy" and not improved
             else:
-                run.improve_and_add(h)
+                run.improve_and_add(h, res.lazy_core)
         run.snap()
 
 
@@ -254,7 +253,7 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     offset = view.constant_offset
     status = "optimal"
     try:
-        res = run.enc.solve_induced(run.enc.max_vector())
+        res = run.enc.solve_induced(run.enc.space.maximum)
         if isinstance(res, Unsatisfiable):
             return _report(run, "infeasible", None, started, offset)
         greedy = cfg.hv.startswith("grd-")

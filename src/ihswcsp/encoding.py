@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .model import Assignment, CostVector, WcspInstance, evaluate
+from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
 from .sat import Solver, pos
 
 
@@ -36,19 +36,16 @@ class SolveDeadlineExceeded(RuntimeError):
 class InducedCspEncoding:
     """One encoding (and one incremental SAT engine) per solver run.
 
-    ``amo`` selects the at-most-one encoding for value literals: "pairwise"
-    (default) or "sequential" for large domains.
-    """
+    ``space`` is the instance's level grid, which every layer of the run
+    reads."""
 
-    def __init__(self, instance: WcspInstance, amo: str = "pairwise"):
-        if amo not in ("pairwise", "sequential"):
-            raise ValueError(f"unknown at-most-one encoding {amo!r}")
+    def __init__(self, instance: WcspInstance):
         self.instance = instance
+        self.space = space = LevelSpace.from_instance(instance)
         self.solver = Solver()
         self.num_solves = 0
         self.solve_time = 0.0
         self.deadline: float | None = None
-        self._last: tuple[CostVector, Satisfiable | Unsatisfiable] | None = None
 
         solver = self.solver
         self.value_lit: list[list[int]] = []
@@ -56,12 +53,9 @@ class InducedCspEncoding:
             lits = [pos(solver.new_var()) for _ in range(d)]
             self.value_lit.append(lits)
             solver.add_clause(lits)
-            if amo == "pairwise":
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        solver.add_clause([lits[a] ^ 1, lits[b] ^ 1])
-            else:
-                self._sequential_amo(lits)
+            for a in range(d):
+                for b in range(a + 1, d):
+                    solver.add_clause([lits[a] ^ 1, lits[b] ^ 1])
 
         for hc in instance.hard_constraints:
             for t in sorted(hc.forbidden):
@@ -70,18 +64,15 @@ class InducedCspEncoding:
                 )
 
         self.sel: list[list[int]] = []
-        self.level_index: list[dict[int, int]] = []
-        for f in instance.cost_functions:
+        for i, f in enumerate(instance.cost_functions):
             sels = [pos(solver.new_var()) for _ in f.levels]
             for j in range(len(sels) - 1):
                 solver.add_clause([sels[j] ^ 1, sels[j + 1]])
             self.sel.append(sels)
-            index = {lv: j for j, lv in enumerate(f.levels)}
-            self.level_index.append(index)
-            base = f.levels[0]
+            base = space.baseline[i]
             for t, c in sorted(f.explicit.items()):
                 if c > base:
-                    self._forbid(f.scope, t, sels[index[c] - 1])
+                    self._forbid(f.scope, t, sels[space.index(i, c) - 1])
             if f.default_cost > base:
                 unlisted = [
                     t
@@ -89,7 +80,7 @@ class InducedCspEncoding:
                     if t not in f.explicit
                 ]
                 if unlisted:
-                    j = index[f.default_cost]
+                    j = space.index(i, f.default_cost)
                     for t in unlisted:
                         self._forbid(f.scope, t, sels[j - 1])
 
@@ -98,40 +89,16 @@ class InducedCspEncoding:
         clause.extend(self.value_lit[x][a] ^ 1 for x, a in zip(scope, t))
         self.solver.add_clause(clause)
 
-    def _sequential_amo(self, lits: list[int]) -> None:
-        d = len(lits)
-        if d <= 1:
-            return
-        s = [pos(self.solver.new_var()) for _ in range(d - 1)]
-        for i in range(d - 1):
-            self.solver.add_clause([lits[i] ^ 1, s[i]])
-        for i in range(1, d - 1):
-            self.solver.add_clause([s[i - 1] ^ 1, s[i]])
-        for i in range(1, d):
-            self.solver.add_clause([lits[i] ^ 1, s[i - 1] ^ 1])
-
     # -- queries ---------------------------------------------------------------
 
     @property
     def num_components(self) -> int:
         return len(self.sel)
 
-    def max_vector(self) -> CostVector:
-        return tuple(f.levels[-1] for f in self.instance.cost_functions)
-
-    def baseline_vector(self) -> CostVector:
-        return tuple(f.levels[0] for f in self.instance.cost_functions)
-
     def assumptions_for(self, v: CostVector) -> list[int]:
         if len(v) != len(self.sel):
             raise ValueError("cost vector length does not match component count")
-        out = []
-        for i, val in enumerate(v):
-            j = self.level_index[i].get(val)
-            if j is None:
-                raise ValueError(f"value {val} is not a level of component {i}")
-            out.append(self.sel[i][j])
-        return out
+        return [self.sel[i][self.space.index(i, val)] for i, val in enumerate(v)]
 
     def solve_induced(self, v: CostVector) -> Satisfiable | Unsatisfiable:
         """Solve the CSP induced by bounding every component at ``v``.
@@ -143,8 +110,8 @@ class InducedCspEncoding:
         started = time.perf_counter()
         if self.deadline is not None and started > self.deadline:
             raise SolveDeadlineExceeded
-        v = tuple(v)
-        res = self.solver.solve(self.assumptions_for(v))
+        assumptions = self.assumptions_for(v)
+        res = self.solver.solve(assumptions)
         self.num_solves += 1
         if res.sat:
             model = res.model
@@ -156,26 +123,10 @@ class InducedCspEncoding:
             out: Satisfiable | Unsatisfiable = Satisfiable(a, sv)
         else:
             failed = set(res.failed)
-            funcs = self.instance.cost_functions
+            maximum = self.space.maximum
             lazy = tuple(
-                v[i]
-                if self.sel[i][self.level_index[i][v[i]]] in failed
-                else funcs[i].levels[-1]
-                for i in range(len(v))
+                v[i] if lit in failed else maximum[i] for i, lit in enumerate(assumptions)
             )
             out = Unsatisfiable(lazy)
-        self._last = (v, out)
         self.solve_time += time.perf_counter() - started
         return out
-
-    def lazy_core_of(self, h: CostVector) -> CostVector:
-        """Lazy core for ``h``; reuses the most recent solve when it was for
-        ``h`` itself, so the usual driver pattern costs no extra probe."""
-        h = tuple(h)
-        if self._last is not None and self._last[0] == h:
-            out = self._last[1]
-        else:
-            out = self.solve_induced(h)
-        if isinstance(out, Satisfiable):
-            raise ValueError("lazy core requested for a satisfiable vector")
-        return out.lazy_core

@@ -9,38 +9,15 @@ with a disjoint-residual lower bound; it replaces an external 0/1 IP solver.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .model import CostVector, WcspInstance
+from .model import CostVector, LevelSpace
 
 
 class Unhittable(RuntimeError):
     """A core sits at the all-max vector; no vector can hit it.  This cannot
     happen for cores produced by a sound run and signals an internal bug."""
-
-
-@dataclass(frozen=True)
-class LevelSpace:
-    """Per-component sorted level lists defining the cost-vector grid."""
-
-    levels: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_instance(cls, w: WcspInstance) -> "LevelSpace":
-        return cls(tuple(f.levels for f in w.cost_functions))
-
-    @property
-    def baseline(self) -> CostVector:
-        return tuple(ls[0] for ls in self.levels)
-
-    def witness_level(self, i: int, value: int) -> int | None:
-        """Smallest level of component i strictly above ``value``."""
-        ls = self.levels[i]
-        j = bisect_right(ls, value)
-        return ls[j] if j < len(ls) else None
 
 
 class HittingProblem:
@@ -53,7 +30,7 @@ class HittingProblem:
         for k in self.cores:
             ws = {}
             for i in range(len(space.levels)):
-                wl = space.witness_level(i, k[i])
+                wl = space.above(i, k[i])
                 if wl is not None:
                     ws[i] = wl
             self.witnesses.append(ws)

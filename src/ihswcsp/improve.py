@@ -34,42 +34,40 @@ class ImproveOutcome:
 
 
 def improve_core(
-    strategy: str, h: CostVector, ub: int | None, oracle: InducedCspEncoding
+    strategy: str, lazy_core: CostVector, ub: int | None, encoding: InducedCspEncoding
 ) -> ImproveOutcome:
-    """Improve the lazy core of the unsatisfiable vector ``h``.
+    """Improve ``lazy_core``, the core an unsatisfiable answer of ``encoding``
+    carries.
 
-    ``lazy`` returns the failed-assumption core (no extra probe when the
-    oracle just answered for ``h``).  The other strategies raise and probe:
-    ``maximal`` until no component can rise, ``cost-bounded`` until the core
-    costs at least ``ub`` as well, and ``partial-max`` until the first
-    satisfiable probe (components at their maximum are skipped, not counted
-    as a stop).  The best solution a probe finds is returned as ``new_ub``.
+    ``lazy`` returns it as it is, without a probe.  The other strategies
+    raise and probe: ``maximal`` until no component can rise,
+    ``cost-bounded`` until the core costs at least ``ub`` as well, and
+    ``partial-max`` until the first satisfiable probe (components at their
+    maximum are skipped, not counted as a stop).  The best solution a probe
+    finds is returned as ``new_ub``.
     """
     if strategy not in _RAISE_SETTINGS:
         raise ValueError(f"unknown core strategy {strategy!r}")
     settings = _RAISE_SETTINGS[strategy]
-    before = oracle.num_solves
-    k = list(oracle.lazy_core_of(h))
     if settings is None:
-        return ImproveOutcome(tuple(k), None, None, oracle.num_solves - before)
+        return ImproveOutcome(tuple(lazy_core), None, None, 0)
     respect_ub, stop_on_sat = settings
     if not respect_ub:
         ub = None
-    funcs = oracle.instance.cost_functions
+    space = encoding.space
+    before = encoding.num_solves
+    k = list(lazy_core)
     best_cost: int | None = None
     best_assignment: Assignment | None = None
-    next_index = [
-        {lv: j for j, lv in enumerate(f.levels)} for f in funcs
-    ]
-    candidates = [i for i in range(len(k)) if k[i] < funcs[i].levels[-1]]
+    candidates = [i for i in range(len(k)) if k[i] < space.maximum[i]]
     while candidates:
         if ub is not None and sum(k) >= ub:
             break
         i = min(candidates, key=lambda i: (k[i], i))
-        raised = funcs[i].levels[next_index[i][k[i]] + 1]
+        raised = space.above(i, k[i])
         probe = list(k)
         probe[i] = raised
-        res = oracle.solve_induced(tuple(probe))
+        res = encoding.solve_induced(tuple(probe))
         if isinstance(res, Satisfiable):
             sv_cost = cost(res.solution_vector)
             if best_cost is None or sv_cost < best_cost:
@@ -79,6 +77,6 @@ def improve_core(
                 break
         else:
             k[i] = raised
-            if k[i] >= funcs[i].levels[-1]:
+            if k[i] >= space.maximum[i]:
                 candidates.remove(i)
-    return ImproveOutcome(tuple(k), best_cost, best_assignment, oracle.num_solves - before)
+    return ImproveOutcome(tuple(k), best_cost, best_assignment, encoding.num_solves - before)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
@@ -60,9 +61,6 @@ class CoreSet:
     def __iter__(self) -> Iterator[CostVector]:
         return iter(self.cores)
 
-    def __contains__(self, v: CostVector) -> bool:
-        return v in self.cores
-
 
 @dataclass(frozen=True)
 class HardConstraint:
@@ -92,14 +90,6 @@ class CostFunction:
     def value(self, assignment: Assignment) -> int:
         return self.explicit.get(tuple(assignment[x] for x in self.scope), self.default_cost)
 
-    @property
-    def min_level(self) -> int:
-        return self.levels[0]
-
-    @property
-    def max_level(self) -> int:
-        return self.levels[-1]
-
 
 def make_cost_function(
     scope: tuple[int, ...],
@@ -128,6 +118,35 @@ def make_cost_function(
     if default_cost is None:
         default_cost = levels[0]
     return CostFunction(scope, default_cost, dict(explicit), levels)
+
+
+class LevelSpace:
+    """The grid of cost vectors: component ``i`` ranges over the sorted
+    levels ``levels[i]`` of its cost function."""
+
+    def __init__(self, levels: Iterable[Iterable[int]]):
+        self.levels = tuple(tuple(ls) for ls in levels)
+        self.baseline: CostVector = tuple(ls[0] for ls in self.levels)
+        self.maximum: CostVector = tuple(ls[-1] for ls in self.levels)
+        self._index = [{lv: j for j, lv in enumerate(ls)} for ls in self.levels]
+
+    @classmethod
+    def from_instance(cls, w: WcspInstance) -> LevelSpace:
+        return cls(f.levels for f in w.cost_functions)
+
+    def index(self, i: int, v: int) -> int:
+        """Position of ``v`` among the levels of component ``i``."""
+        j = self._index[i].get(v)
+        if j is None:
+            raise ValueError(f"value {v} is not a level of component {i}")
+        return j
+
+    def above(self, i: int, v: int) -> int | None:
+        """Smallest level of component ``i`` strictly above ``v``, or None
+        when ``v`` is at or above its maximum."""
+        ls = self.levels[i]
+        j = bisect_right(ls, v)
+        return ls[j] if j < len(ls) else None
 
 
 @dataclass(frozen=True)

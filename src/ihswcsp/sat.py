@@ -24,14 +24,6 @@ def neg(v: int) -> int:
     return (v << 1) | 1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
-def lit_is_negative(lit: int) -> bool:
-    return bool(lit & 1)
-
-
 class Clause(list):
     __slots__ = ("learnt", "act")
 
@@ -407,44 +399,3 @@ class Solver:
                     return SatResult(True, model=model)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
-
-
-# ---------------------------------------------------------------------------
-# DIMACS helpers (debugging interface)
-
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Parse DIMACS CNF into (num_vars, clauses) in this module's literal
-    encoding."""
-    num_vars = 0
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            d = int(tok)
-            if d == 0:
-                clauses.append(current)
-                current = []
-            else:
-                v = abs(d) - 1
-                num_vars = max(num_vars, v + 1)
-                current.append(pos(v) if d > 0 else neg(v))
-    if current:
-        clauses.append(current)
-    return num_vars, clauses
-
-
-def to_dimacs(num_vars: int, clauses) -> str:
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    for c in clauses:
-        lines.append(
-            " ".join(str((l >> 1) + 1 if not (l & 1) else -((l >> 1) + 1)) for l in c) + " 0"
-        )
-    return "\n".join(lines) + "\n"

@@ -142,7 +142,7 @@ def test_disjoint_phase_standalone():
     enc = InducedCspEncoding(w)
     res = enc.solve_induced((0, 0))
     assert isinstance(res, Unsatisfiable)
-    out = improve_core("maximal", (0, 0), None, enc)
+    out = improve_core("maximal", res.lazy_core, None, enc)
     *extras, last = disjoint_core_phase((0, 0), out.core, enc, "maximal", limit=10)
     assert len(extras) == 1
     fresh = InducedCspEncoding(w)
@@ -156,8 +156,7 @@ def test_disjoint_phase_standalone():
 def test_single_conflict_instance_yields_no_extras():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    enc.solve_induced((0,))
-    out = improve_core("maximal", (0,), None, enc)
+    out = improve_core("maximal", enc.solve_induced((0,)).lazy_core, None, enc)
     found = list(disjoint_core_phase((0,), out.core, enc, "maximal", limit=10))
     assert len(found) == 1 and isinstance(found[0], Satisfiable)
 

@@ -43,7 +43,7 @@ def test_min_level_vector_with_nonzero_minimum():
     assert f.levels == (1, 2)
     w = WcspInstance("minlev", (2,), (), (f,), 10)
     enc = InducedCspEncoding(w)
-    assert enc.baseline_vector() == (1,)
+    assert enc.space.baseline == (1,)
     res = enc.solve_induced((1,))
     assert isinstance(res, Satisfiable)
     assert res.assignment == (0,)
@@ -84,19 +84,6 @@ def test_lazy_core_localizes_single_function_conflict():
     assert res.lazy_core == (0, 5)  # f2 released to its max level
 
 
-def test_lazy_core_of_reuses_last_solve():
-    f1 = make_cost_function((0,), 0, {(0,): 1, (1,): 1}, (2,))
-    w = WcspInstance("reuse", (2,), (), (f1,), 10)
-    enc = InducedCspEncoding(w)
-    enc.solve_induced((0,))
-    before = enc.num_solves
-    core = enc.lazy_core_of((0,))
-    assert enc.num_solves == before
-    assert core == (0,)
-    with pytest.raises(ValueError):
-        enc.lazy_core_of((1,))  # satisfiable vector
-
-
 def test_rejects_off_level_values():
     f = make_cost_function((0,), 0, {(1,): 2}, (2,))
     w = WcspInstance("lvl", (2,), (), (f,), 10)
@@ -105,12 +92,11 @@ def test_rejects_off_level_values():
         enc.solve_induced((1,))
 
 
-@pytest.mark.parametrize("amo", ["pairwise", "sequential"])
-def test_exhaustive_equivalence_on_tiny_instances(amo):
+def test_exhaustive_equivalence_on_tiny_instances():
     rng = random.Random(42)
     for _ in range(25):
         w = random_tiny_instance(rng)
-        enc = InducedCspEncoding(w, amo=amo)
+        enc = InducedCspEncoding(w)
         for v in _level_space(w):
             res = enc.solve_induced(v)
             expected = _induced_sat_by_enumeration(w, v)
@@ -160,23 +146,11 @@ def test_encoding_scales_to_wide_domains():
     from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
 
     w = gen_uniform(GeneratorParams(25, 30, 50, 5, 750, seed=1))
-    enc = InducedCspEncoding(w, amo="sequential")
-    res = enc.solve_induced(enc.max_vector())
+    enc = InducedCspEncoding(w)
+    res = enc.solve_induced(enc.space.maximum)
     assert isinstance(res, Satisfiable)
-    res = enc.solve_induced(enc.baseline_vector())
+    res = enc.solve_induced(enc.space.baseline)
     # 750 of 900 tuples are nonzero per function; a zero-cost assignment
     # may or may not exist, but the query itself must decode cleanly
     if isinstance(res, Satisfiable):
         assert res.solution_vector == tuple([0] * 50)
-
-
-def test_sequential_amo_uses_fewer_clauses_for_large_domains():
-    f = make_cost_function((0,), 0, {(9,): 1}, (10,))
-    w = WcspInstance("amo", (10,), (), (f,), 10)
-    pairwise = InducedCspEncoding(w, amo="pairwise")
-    sequential = InducedCspEncoding(w, amo="sequential")
-    assert len(sequential.solver.clauses) < len(pairwise.solver.clauses)
-    for v in _level_space(w):
-        assert isinstance(pairwise.solve_induced(v), Satisfiable) == isinstance(
-            sequential.solve_induced(v), Satisfiable
-        )

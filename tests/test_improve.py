@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.improve import improve_core
 from ihswcsp.model import CostFunction, WcspInstance, dominates, evaluate, make_cost_function
@@ -32,8 +30,9 @@ def _two_function_instance():
 def test_maximal_on_forced_instance():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    assert isinstance(enc.solve_induced((0,)), Unsatisfiable)
-    out = improve_core("maximal", (0,), None, enc)
+    res = enc.solve_induced((0,))
+    assert isinstance(res, Unsatisfiable)
+    out = improve_core("maximal", res.lazy_core, None, enc)
     assert out.core == (1,)
     assert out.probes == 2  # raise to 1 (unsat), raise to 2 (sat)
     assert out.new_ub == 2
@@ -44,11 +43,9 @@ def test_maximal_on_forced_instance():
 def test_lazy_is_free_and_deterministic():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    enc.solve_induced((0,))
-    out1 = improve_core("lazy", (0,), None, enc)
+    out1 = improve_core("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
     assert out1.probes == 0
-    enc.solve_induced((0,))
-    out2 = improve_core("lazy", (0,), None, enc)
+    out2 = improve_core("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
     assert out1.core == out2.core
     assert out1.new_ub is None
 
@@ -56,8 +53,7 @@ def test_lazy_is_free_and_deterministic():
 def test_cost_bounded_stops_at_entry():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    enc.solve_induced((0,))
-    out = improve_core("cost-bounded", (0,), 0, enc)
+    out = improve_core("cost-bounded", enc.solve_induced((0,)).lazy_core, 0, enc)
     assert out.core == (0,)
     assert out.probes == 0
 
@@ -68,13 +64,13 @@ def test_cost_bounded_with_infinite_bound_equals_maximal():
     while checked < 25:
         w = random_tiny_instance(rng)
         enc = InducedCspEncoding(w)
-        baseline = enc.baseline_vector()
-        if isinstance(enc.solve_induced(baseline), Satisfiable):
+        baseline = enc.space.baseline
+        res = enc.solve_induced(baseline)
+        if isinstance(res, Satisfiable):
             continue
-        a = improve_core("cost-bounded", baseline, None, enc)
+        a = improve_core("cost-bounded", res.lazy_core, None, enc)
         enc2 = InducedCspEncoding(w)
-        enc2.solve_induced(baseline)
-        b = improve_core("maximal", baseline, None, enc2)
+        b = improve_core("maximal", enc2.solve_induced(baseline).lazy_core, None, enc2)
         assert a.core == b.core
         assert a.probes == b.probes
         checked += 1
@@ -83,11 +79,10 @@ def test_cost_bounded_with_infinite_bound_equals_maximal():
 def test_partial_maximal_stops_on_first_sat_probe():
     w = _two_function_instance()
     enc = InducedCspEncoding(w)
-    baseline = enc.baseline_vector()
-    res = enc.solve_induced(baseline)
+    res = enc.solve_induced(enc.space.baseline)
     assert isinstance(res, Unsatisfiable)
     assert res.lazy_core == (0, 0)  # both bounds are needed for the conflict
-    out = improve_core("partial-max", baseline, None, enc)
+    out = improve_core("partial-max", res.lazy_core, None, enc)
     # scripted trace: raise f1 0->1 keeps the conflict (x=1 is hard-forbidden),
     # raise f2 0->1 frees y=1 and stops the loop
     assert out.core == (1, 0)
@@ -97,9 +92,7 @@ def test_partial_maximal_stops_on_first_sat_probe():
 def test_maximal_continues_past_sat_components():
     w = _two_function_instance()
     enc = InducedCspEncoding(w)
-    baseline = enc.baseline_vector()
-    enc.solve_induced(baseline)
-    out = improve_core("maximal", baseline, None, enc)
+    out = improve_core("maximal", enc.solve_induced(enc.space.baseline).lazy_core, None, enc)
     assert out.core == (1, 0)
     assert out.probes == 3
     assert out.new_ub == 1
@@ -124,8 +117,7 @@ def test_strategy_invariants_on_random_instances():
         probes = {}
         for strategy in ("lazy", "cost-bounded", "partial-max", "maximal"):
             enc_s = InducedCspEncoding(w)
-            enc_s.solve_induced(start)
-            out = improve_core(strategy, start, None, enc_s)
+            out = improve_core(strategy, enc_s.solve_induced(start).lazy_core, None, enc_s)
             assert dominates(out.core, start)
             fresh = InducedCspEncoding(w)
             assert isinstance(fresh.solve_induced(out.core), Unsatisfiable)
@@ -144,10 +136,10 @@ def test_maximal_output_is_maximal():
     while checked < 25:
         w = random_tiny_instance(rng)
         enc = InducedCspEncoding(w)
-        baseline = enc.baseline_vector()
-        if isinstance(enc.solve_induced(baseline), Satisfiable):
+        res = enc.solve_induced(enc.space.baseline)
+        if isinstance(res, Satisfiable):
             continue
-        out = improve_core("maximal", baseline, None, enc)
+        out = improve_core("maximal", res.lazy_core, None, enc)
         k = out.core
         fresh = InducedCspEncoding(w)
         for i, f in enumerate(w.cost_functions):
@@ -157,10 +149,3 @@ def test_maximal_output_is_maximal():
             raised[i] = f.levels[f.levels.index(k[i]) + 1]
             assert isinstance(fresh.solve_induced(tuple(raised)), Satisfiable)
         checked += 1
-
-
-def test_improve_lazy_rejects_solution_vector():
-    w = _forced_instance()
-    enc = InducedCspEncoding(w)
-    with pytest.raises(ValueError):
-        improve_core("lazy", (2,), None, enc)

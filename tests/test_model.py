@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ihswcsp.model import (
     CoreSet,
     HardConstraint,
+    LevelSpace,
     WcspInstance,
     cost,
     dominates,
@@ -100,6 +101,24 @@ def test_core_set_insert_rules():
 def _single_cell_instance():
     f = make_cost_function((0,), 0, {(0,): 1}, (1,))
     return WcspInstance("one", (1,), (), (f,), 10)
+
+
+def test_level_space():
+    # component 0 starts above zero, component 1 has a single level
+    space = LevelSpace([(2, 5, 9), (4,)])
+    assert space.baseline == (2, 4)
+    assert space.maximum == (9, 4)
+    assert [space.index(0, v) for v in (2, 5, 9)] == [0, 1, 2]
+    assert space.index(1, 4) == 0
+    for i, v in ((0, 3), (0, 0), (1, 5)):
+        with pytest.raises(ValueError):
+            space.index(i, v)
+    assert space.above(0, 0) == 2
+    assert space.above(0, 2) == 5
+    assert space.above(0, 6) == 9
+    assert space.above(0, 9) is None
+    assert space.above(1, 3) == 4
+    assert space.above(1, 4) is None
 
 
 def test_evaluate_single_cell():

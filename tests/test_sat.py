@@ -1,6 +1,6 @@
 import random
 
-from ihswcsp.sat import Solver, neg, parse_dimacs, pos, to_dimacs
+from ihswcsp.sat import Solver, neg, pos
 from oracles import random_cnf, truth_table_sat
 
 
@@ -144,15 +144,6 @@ def test_determinism():
     b1, b2 = run()
     assert a1 == b1
     assert a2 == b2
-
-
-def test_dimacs_roundtrip():
-    rng = random.Random(81)
-    n, clauses = random_cnf(rng, max_vars=9)
-    text = to_dimacs(n, clauses)
-    n2, clauses2 = parse_dimacs(text)
-    assert n2 == n
-    assert [sorted(c) for c in clauses2] == [sorted(c) for c in clauses]
 
 
 def test_hard_random_formulas_near_phase_transition():
