@@ -29,6 +29,7 @@ CSV_FIELDS = [
     "ub",
     "iterations",
     "hv_calls",
+    "hv_nodes",
     "sat_calls",
     "improve_probes",
     "exact_fallbacks",
@@ -127,6 +128,7 @@ def _report_fields(report: RunReport) -> dict[str, object]:
         "ub": fmt(report.final_ub),
         "iterations": report.iterations,
         "hv_calls": report.hv_calls,
+        "hv_nodes": report.hv_nodes,
         "sat_calls": report.sat_calls,
         "improve_probes": report.improve_probes,
         "exact_fallbacks": report.exact_fallbacks,

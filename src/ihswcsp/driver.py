@@ -51,7 +51,8 @@ class SolverConfig:
 class RunReport:
     """Per-run outcome and counters.
 
-    ``sat_calls`` counts every induced-CSP solve (including improvement
+    ``hv_nodes`` counts the nodes of every exact hitting-vector branch and
+    bound.  ``sat_calls`` counts every induced-CSP solve (including improvement
     probes and the feasibility pre-check); ``improve_probes`` is the subset
     spent inside core improvement and the disjoint-core phase.  ``sat_time``
     is the time of all those solves, so it overlaps ``improve_time``, which
@@ -64,6 +65,7 @@ class RunReport:
     final_ub: int | None
     iterations: int
     hv_calls: int
+    hv_nodes: int
     sat_calls: int
     improve_probes: int
     core_set_size: int
@@ -91,6 +93,7 @@ class _Run:
         self.best_assignment: Assignment | None = None
         self.iterations = 0
         self.hv_calls = 0
+        self.hv_nodes = 0
         self.improve_probes = 0
         self.exact_fallbacks = 0
         self.trace: list[tuple[int | None, int | None]] = []
@@ -101,7 +104,7 @@ class _Run:
     def hitting(self, kind: str):
         if self.enc.deadline is not None and time.perf_counter() > self.enc.deadline:
             raise SolveDeadlineExceeded
-        problem = HittingProblem(self.enc.space, self.cores)
+        problem = HittingProblem(self.enc.space, self.cores, self.enc.deadline)
         t = time.perf_counter()
         try:
             if kind == "min":
@@ -112,6 +115,7 @@ class _Run:
         finally:
             self.hv_time += time.perf_counter() - t
             self.hv_calls += 1
+            self.hv_nodes += problem.nodes
 
     def _record_solution(self, sv_cost: int, assignment: Assignment | None) -> bool:
         """Take the solution as the incumbent if it improves ub; returns
@@ -280,6 +284,7 @@ def _report(
         final_ub=off(run.ub),
         iterations=run.iterations,
         hv_calls=run.hv_calls,
+        hv_nodes=run.hv_nodes,
         sat_calls=run.enc.num_solves,
         improve_probes=run.improve_probes,
         core_set_size=len(run.cores),

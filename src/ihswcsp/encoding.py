@@ -30,7 +30,9 @@ class Unsatisfiable:
 
 
 class SolveDeadlineExceeded(RuntimeError):
-    """Cooperative timeout: raised between oracle calls, never mid-search."""
+    """Cooperative timeout: raised before an oracle call that would start
+    past the deadline, and by the hitting-vector branch and bound, which
+    polls it; never in the middle of a SAT solve."""
 
 
 class InducedCspEncoding:

@@ -5,14 +5,28 @@ All three operate on the level grid: a vector hits a core iff some component
 reaches that core's witness level (the smallest level strictly above the
 core's entry).  The exact search is a depth-first branch and bound over cores
 with a disjoint-residual lower bound; it replaces an external 0/1 IP solver.
+
+The branch and bound runs on an explicit stack, so its depth is not limited
+by Python's recursion limit.  Each node carries, for every core it has not
+hit yet, the cheapest increment that would hit it.  A child raises one
+component, which changes only that component's term, so it updates these
+deltas in the same pass that filters its parent's unhit cores: a node costs
+time linear in its unhit cores.  The search polls the problem's deadline
+every 1024 nodes and raises ``SolveDeadlineExceeded`` once it has passed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import time
+from collections import Counter
+from itertools import chain
+from operator import neg
 from typing import Iterable
 
+from .encoding import SolveDeadlineExceeded
 from .model import CostVector, LevelSpace
+
+_POLL_MASK = 1023  # the deadline is read when the node count is a multiple of 1024
 
 
 class Unhittable(RuntimeError):
@@ -21,49 +35,68 @@ class Unhittable(RuntimeError):
 
 
 class HittingProblem:
-    """A level space plus the cores to hit, with per-core witness tables."""
+    """A level space plus the cores to hit, with per-core witness tables.
 
-    def __init__(self, space: LevelSpace, cores: Iterable[CostVector]):
+    ``witnesses[c]`` maps each component where core ``c`` is below its
+    maximum to the core's witness level there, and ``masks[c]`` has a bit
+    set for each of those components.  ``columns[i][c]`` is the witness
+    level of core ``c`` at component ``i``, or, where there is none, a value
+    above every level whose distance to any level exceeds every increment.
+    ``deadline`` is a ``time.perf_counter()`` reading after which the branch
+    and bound gives up; ``nodes`` counts the nodes it has visited."""
+
+    def __init__(
+        self, space: LevelSpace, cores: Iterable[CostVector], deadline: float | None = None
+    ):
         self.space = space
         self.cores = [tuple(k) for k in cores]
+        self.deadline = deadline
+        self.nodes = 0
+        levels = space.levels
+        top = max((ls[-1] for ls in levels), default=0)
+        bottom = min((ls[0] for ls in levels), default=0)
+        self.columns = [[2 * top - bottom + 1] * len(self.cores) for _ in levels]
         self.witnesses: list[dict[int, int]] = []
-        for k in self.cores:
+        self.masks: list[int] = []
+        above = space.above
+        for c, k in enumerate(self.cores):
             ws = {}
-            for i in range(len(space.levels)):
-                wl = space.above(i, k[i])
+            mask = 0
+            for i, v in enumerate(k):
+                wl = above(i, v)
                 if wl is not None:
-                    ws[i] = wl
+                    ws[i] = self.columns[i][c] = wl
+                    mask |= 1 << i
             self.witnesses.append(ws)
+            self.masks.append(mask)
 
     def _check_hittable(self) -> None:
         for k, ws in zip(self.cores, self.witnesses):
             if not ws:
                 raise Unhittable(f"core {k} is at the maximum level everywhere")
 
-    def _unhit(self, h: list[int]) -> list[int]:
-        out = []
-        for idx, k in enumerate(self.cores):
-            if all(h[i] <= k[i] for i in range(len(h))):
-                out.append(idx)
-        return out
+    def _unhit(self, h: CostVector) -> list[int]:
+        """Indices, ascending, of the cores that dominate ``h``."""
+        return [c for c, k in enumerate(self.cores) if all(a <= b for a, b in zip(h, k))]
 
-    def _residual_bound(self, h: list[int], unhit: list[int]) -> int:
-        """Admissible bound: cheapest witness increments of a greedily chosen
-        set of unhit cores with pairwise-disjoint witness components."""
-        items = []
-        for idx in unhit:
-            ws = self.witnesses[idx]
-            delta = min(wl - h[i] for i, wl in ws.items())
-            items.append((-delta, idx))
-        items.sort()
-        used: set[int] = set()
-        bound = 0
-        for neg_delta, idx in items:
-            supp = self.witnesses[idx].keys()
-            if used.isdisjoint(supp):
-                bound -= neg_delta
-                used.update(supp)
-        return bound
+
+def _bound_exceeds(slack: int, unhit: list[int], deltas: list[int], masks: list[int]) -> bool:
+    """Whether the admissible residual bound exceeds ``slack``.  The bound
+    sums the cheapest increments of a greedily packed set of unhit cores with
+    pairwise-disjoint witness components, taken by decreasing increment,
+    then by index.  The first core taken has the largest increment."""
+    if max(deltas) > slack:
+        return True
+    used = 0
+    bound = 0
+    for neg_delta, c in sorted(zip(map(neg, deltas), unhit)):
+        mask = masks[c]
+        if not used & mask:
+            used |= mask
+            bound -= neg_delta
+            if bound > slack:
+                return True
+    return False
 
 
 def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVector | None:
@@ -71,45 +104,68 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     means no bound).  With ``first`` it returns the first such leaf;
     otherwise each leaf tightens ``limit`` to its own cost and the result is
     the minimum-cost vector, ties broken toward the lexicographically
-    smallest."""
+    smallest.  Branches on the unhit core with the fewest witness
+    components (then the smallest index), trying its witness raises by
+    increasing increment, then component."""
     problem._check_hittable()
+    witnesses, masks, columns = problem.witnesses, problem.masks, problem.columns
+    width = [len(ws) for ws in witnesses]
+    deadline = problem.deadline
     h = list(problem.space.baseline)
-    cores = problem.cores
-    witnesses = problem.witnesses
+    cost = sum(h)
+    unhit = problem._unhit(h)
+    deltas = [min(wl - h[i] for i, wl in witnesses[c].items()) for c in unhit]
     best: CostVector | None = None
     visited: set[CostVector] = set()
-
-    def dfs(current_cost: int, unhit: list[int]) -> bool:
-        """True when the search should stop."""
-        nonlocal limit, best
-        if not unhit:
-            vec = tuple(h)
-            if limit is None or current_cost < limit or (
-                current_cost == limit and (best is None or vec < best)
-            ):
-                limit, best = current_cost, vec
-                return first
-            return False
-        if limit is not None:
-            if current_cost + problem._residual_bound(h, unhit) > limit:
-                return False
-        state = tuple(h)
-        if state in visited:  # the same vector is reachable by permuted raises
-            return False
-        visited.add(state)
-        pick = min(unhit, key=lambda idx: (len(witnesses[idx]), idx))
-        branches = sorted((wl - h[i], i, wl) for i, wl in witnesses[pick].items())
-        for _, i, wl in branches:
-            old = h[i]
+    stack = []  # expanded nodes: (untried branches, cheapest last; cost; unhit; deltas; vector)
+    nodes = 0
+    try:
+        while True:
+            nodes += 1
+            if not nodes & _POLL_MASK and deadline is not None and time.perf_counter() > deadline:
+                raise SolveDeadlineExceeded
+            if not unhit:
+                vec = tuple(h)
+                if limit is None or cost < limit or (
+                    cost == limit and (best is None or vec < best)
+                ):
+                    limit, best = cost, vec
+                    if first:
+                        return best
+            elif limit is None or not _bound_exceeds(limit - cost, unhit, deltas, masks):
+                state = tuple(h)
+                if state not in visited:  # the same vector is reachable by permuted raises
+                    visited.add(state)
+                    pick = min(unhit, key=width.__getitem__)  # unhit is ascending
+                    branches = sorted(
+                        ((wl - h[i], i, wl) for i, wl in witnesses[pick].items()), reverse=True
+                    )
+                    stack.append((branches, cost, unhit, deltas, state))
+            # Next, the cheapest untried branch of the deepest expanded node.  A
+            # branch that raises the cost above the limit would give a rejected
+            # leaf or fail the bound, and so would every later one of its node.
+            while stack:
+                branches, parent_cost, parent_unhit, parent_deltas, state = stack[-1]
+                if branches and (limit is None or parent_cost + branches[-1][0] <= limit):
+                    break
+                stack.pop()
+            else:
+                return best
+            step, i, wl = branches.pop()
+            h[:] = state
             h[i] = wl
-            stop = dfs(current_cost + wl - old, [idx for idx in unhit if cores[idx][i] >= wl])
-            h[i] = old
-            if stop:
-                return True
-        return False
-
-    dfs(sum(h), problem._unhit(h))
-    return best
+            cost = parent_cost + step
+            column = columns[i]
+            unhit = []
+            deltas = []
+            for c, d in zip(parent_unhit, parent_deltas):
+                w = column[c]
+                if w > wl:  # core c's entry at i is at least wl, so c stays unhit
+                    unhit.append(c)
+                    w -= wl
+                    deltas.append(w if w < d else d)
+    finally:
+        problem.nodes += nodes
 
 
 def min_cost_hv(problem: HittingProblem) -> CostVector:
@@ -132,23 +188,29 @@ def greedy_hv(problem: HittingProblem) -> CostVector:
     increase, then the smaller component, then the smaller level.  Candidates
     are the witness levels of currently-unhit cores."""
     problem._check_hittable()
+    witnesses, columns = problem.witnesses, problem.columns
     h = list(problem.space.baseline)
-    while True:
-        unhit = problem._unhit(h)
-        if not unhit:
-            return tuple(h)
-        candidates = sorted(
-            {(i, problem.witnesses[idx][i]) for idx in unhit for i in problem.witnesses[idx]}
-        )
-        best_key = None
+    unhit = problem._unhit(h)
+    while unhit:
+        # raising component i to wl newly hits the unhit cores whose witness
+        # level at i is at most wl
+        counts = Counter(chain.from_iterable(witnesses[c].items() for c in unhit))
         best = None
-        for i, wl in candidates:
+        component = None
+        for i, wl in sorted(counts):
+            if i != component:
+                component, newly = i, 0
+            newly += counts[i, wl]
             delta = wl - h[i]
-            if delta <= 0:
-                continue
-            newly = sum(1 for idx in unhit if problem.cores[idx][i] < wl)
-            key = (Fraction(delta, newly), delta, i, wl)
-            if best_key is None or key < best_key:
-                best_key, best = key, (i, wl)
+            # compare delta / newly with the best ratio by cross-multiplying;
+            # candidates come in increasing (i, wl), so a full tie keeps the best
+            if best is None or delta * best[1] < best[0] * newly or (
+                delta * best[1] == best[0] * newly and delta < best[0]
+            ):
+                best = (delta, newly, i, wl)
         assert best is not None
-        h[best[0]] = best[1]
+        _, _, i, wl = best
+        h[i] = wl
+        column = columns[i]
+        unhit = [c for c in unhit if column[c] > wl]
+    return tuple(h)

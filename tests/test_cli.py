@@ -23,6 +23,7 @@ def test_solve_reports_optimum(toy_path, capsys):
     assert "status=optimal" in out
     assert "optimum=2" in out
     assert "iterations=" in out
+    assert "hv_nodes=" in out
 
 
 def test_solve_unknown_strategy_exits_one(toy_path):

@@ -184,6 +184,15 @@ def test_timeout_reported():
     assert report.optimum is None
 
 
+def test_deadline_interrupts_hitting_search():
+    # one hitting call on this instance can take about 0.3 s, so the limit is
+    # kept only if the branch and bound itself watches the deadline
+    w = gen_uniform(GeneratorParams(15, 3, 30, 4, 6, seed=1))
+    report = solve(w, SolverConfig(hv="lb", core="maximal", time_limit=2))
+    assert report.status == "timeout"
+    assert report.total_time < 2.5
+
+
 def test_iteration_cap_raises():
     w = _forced_instance()
     with pytest.raises(IterationCapExceeded):
@@ -203,11 +212,14 @@ def test_determinism_of_counters():
                 b.iterations,
                 b.core_set_size,
             )
-            assert (a.hv_calls, a.sat_calls, a.improve_probes) == (
+            assert (a.hv_calls, a.hv_nodes, a.sat_calls, a.improve_probes) == (
                 b.hv_calls,
+                b.hv_nodes,
                 b.sat_calls,
                 b.improve_probes,
             )
+            if not hv.startswith("grd-"):  # every iteration runs the branch and bound
+                assert a.hv_nodes >= a.hv_calls > 0
 
 
 def test_grd_exact_fallback_engages_and_stays_correct():

@@ -1,9 +1,12 @@
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihswcsp.encoding import SolveDeadlineExceeded
 from ihswcsp.hitting import (
     HittingProblem,
     LevelSpace,
@@ -16,8 +19,15 @@ from ihswcsp.model import cost, hits
 from oracles import enumerate_hitting, random_cores, random_level_space
 
 
-def _problem(levels, cores):
-    return HittingProblem(LevelSpace(tuple(tuple(ls) for ls in levels)), cores)
+def _problem(levels, cores, deadline=None):
+    return HittingProblem(LevelSpace(tuple(tuple(ls) for ls in levels)), cores, deadline)
+
+
+def _singletons(n, deadline=None):
+    # core j is 0 at component j and at the maximum 1 elsewhere, so the only
+    # hitting vector raises every component: a search n raises deep
+    cores = [tuple(0 if i == j else 1 for i in range(n)) for j in range(n)]
+    return _problem([(0, 1)] * n, cores, deadline)
 
 
 def test_min_cost_empty_core_set_returns_baseline():
@@ -80,8 +90,15 @@ def test_nonzero_baseline_levels():
     # both (5,1) and (2,4) cost 6; lex-min is (2,4)
 
 
+# sha256 of the cost-bounded and greedy vectors below.  The driver's traces
+# depend on which leaf the cost-bounded search finds first and on greedy's
+# tie-breaks, so a faster search must still return exactly these vectors.
+PINNED_VECTORS = "9d2c3db85dce30e4813597d17670fa282e0edb7e766d477954dd0bb4acbd8f6d"
+
+
 def test_randomized_against_enumeration():
     rng = random.Random(99)
+    pinned = []
     for _ in range(200):
         levels = random_level_space(rng)
         cores = random_cores(rng, levels)
@@ -99,6 +116,7 @@ def test_randomized_against_enumeration():
         for ub_delta in (-1, 0, 1, 3):
             ub = expected_cost + ub_delta
             got = cost_bounded_hv(problem, ub)
+            pinned.append(got)
             if expected_cost >= ub:
                 assert got is None
             else:
@@ -107,8 +125,24 @@ def test_randomized_against_enumeration():
                 assert hits(got, cores)
 
         g = greedy_hv(problem)
+        pinned.append(g)
         assert hits(g, cores)
         assert cost(g) >= expected_cost
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
+
+
+def test_deep_search_needs_no_recursion():
+    n = 1200
+    p = _singletons(n)
+    assert min_cost_hv(p) == (1,) * n
+    assert p.nodes == n + 1
+
+
+def test_search_polls_deadline():
+    p = _singletons(1200, deadline=time.perf_counter() - 1.0)
+    with pytest.raises(SolveDeadlineExceeded):
+        cost_bounded_hv(p, None)
+    assert p.nodes == 1024
 
 
 @st.composite
