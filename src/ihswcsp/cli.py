@@ -31,6 +31,7 @@ CSV_FIELDS = [
     "hv_calls",
     "hv_nodes",
     "sat_calls",
+    "sat_conflicts",
     "improve_probes",
     "exact_fallbacks",
     "core_set_size",
@@ -130,6 +131,7 @@ def _report_fields(report: RunReport) -> dict[str, object]:
         "hv_calls": report.hv_calls,
         "hv_nodes": report.hv_nodes,
         "sat_calls": report.sat_calls,
+        "sat_conflicts": report.sat_conflicts,
         "improve_probes": report.improve_probes,
         "exact_fallbacks": report.exact_fallbacks,
         "core_set_size": report.core_set_size,

@@ -54,10 +54,11 @@ class RunReport:
     ``hv_nodes`` counts the nodes of every exact hitting-vector branch and
     bound.  ``sat_calls`` counts every induced-CSP solve (including improvement
     probes and the feasibility pre-check); ``improve_probes`` is the subset
-    spent inside core improvement and the disjoint-core phase.  ``sat_time``
-    is the time of all those solves, so it overlaps ``improve_time``, which
-    covers whole improvement and disjoint phases.  Bounds and the optimum
-    include the instance's constant offset."""
+    spent inside core improvement and the disjoint-core phase, and
+    ``sat_conflicts`` counts the SAT engine's conflicts over all of them.
+    ``sat_time`` is the time of all those solves, so it overlaps
+    ``improve_time``, which covers whole improvement and disjoint phases.
+    Bounds and the optimum include the instance's constant offset."""
 
     status: str
     optimum: int | None
@@ -67,6 +68,7 @@ class RunReport:
     hv_calls: int
     hv_nodes: int
     sat_calls: int
+    sat_conflicts: int
     improve_probes: int
     core_set_size: int
     core_insertions: int
@@ -286,6 +288,7 @@ def _report(
         hv_calls=run.hv_calls,
         hv_nodes=run.hv_nodes,
         sat_calls=run.enc.num_solves,
+        sat_conflicts=run.enc.solver.conflicts,
         improve_probes=run.improve_probes,
         core_set_size=len(run.cores),
         core_insertions=run.cores.insertions,

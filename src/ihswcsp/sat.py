@@ -6,6 +6,13 @@ activity-based reduction of the learnt-clause database.  Assumptions are
 enqueued as decisions in list order; on UNSAT the failed subset is extracted
 by final-conflict analysis over the trail (sufficient, not minimized).
 
+Warm calls are cheap: a call that meets no conflict returns with its
+assumption levels still on the trail, and the next call backjumps only to the
+longest prefix its assumptions share with them (Hickey & Bacchus, SAT 2019).
+The decision heap holds at most one entry per variable at its current
+activity, flagged in ``in_heap`` (as in MiniSat), so neither backjumps nor
+activity bumps refill it.  Neither change alters the search.
+
 Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 ``2*v + 1`` (negative); ``lit ^ 1`` negates.
 """
@@ -44,8 +51,13 @@ class SatResult:
 
 
 class Solver:
-    """Incremental CDCL solver; state (learnt clauses, activities, phases)
-    persists across solve() calls and never affects correctness."""
+    """Incremental CDCL solver; state (learnt clauses, activities, phases,
+    the assumption-prefix trail and the heap flags) persists across solve()
+    calls and never affects correctness.
+
+    Between calls, trail level ``L`` (1-based) holds the assumption
+    ``assumed[L-1]`` of the last call; ``add_clause`` cancels every level
+    above 0."""
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -58,8 +70,10 @@ class Solver:
         self.polarity: list[int] = []
         self.activity: list[float] = []
         self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray()  # 1: the heap holds (-activity[v], v)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.assumed: list[int] = []
         self.qhead = 0
         self.seen = bytearray()
         self.var_inc = 1.0
@@ -80,6 +94,7 @@ class Solver:
         self.polarity.append(0)
         self.activity.append(0.0)
         self.seen.append(0)
+        self.in_heap.append(1)
         heappush(self.heap, (-0.0, v))
         return v
 
@@ -135,14 +150,16 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        trail, assign = self.trail, self.assign
+        trail, assign, in_heap = self.trail, self.assign, self.in_heap
         for idx in range(len(trail) - 1, bound - 1, -1):
             l = trail[idx]
             v = l >> 1
             self.polarity[v] = assign[v]
             assign[v] = -1
             self.reason[v] = None
-            heappush(self.heap, (-self.activity[v], v))
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heappush(self.heap, (-self.activity[v], v))
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -205,16 +222,18 @@ class Solver:
     # -- conflict analysis -----------------------------------------------------
 
     def _bump_var(self, v: int) -> None:
+        # v is assigned (it is in a conflict), so it needs no heap entry
+        # until cancel_until unassigns it and pushes its new activity
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
+        self.in_heap[v] = 0
         if act > 1e100:
             self._rescale_var_activity()
-        else:
-            heappush(self.heap, (-act, v))
 
     def _rescale_var_activity(self) -> None:
         self.activity = [a * 1e-100 for a in self.activity]
         self.var_inc *= 1e-100
+        self.in_heap = bytearray(x < 0 for x in self.assign)
         self.heap = [(-self.activity[v], v) for v in range(self.num_vars) if self.assign[v] < 0]
         heapify(self.heap)
 
@@ -274,35 +293,40 @@ class Solver:
     def _analyze_final(self, p: int | None, confl: Clause | None) -> set[int]:
         """Walk the trail from a falsified assumption (or final conflict) and
         collect the assumption literals it depends on."""
-        seen = self.seen
+        seen, level = self.seen, self.level
         to_clear: list[int] = []
         out: set[int] = set()
         if p is not None:
             out.add(p)
-            if self.level[p >> 1] > 0:
+            if level[p >> 1] > 0:
                 seen[p >> 1] = 1
                 to_clear.append(p >> 1)
         if confl is not None:
             for q in confl:
                 v = q >> 1
-                if self.level[v] > 0 and not seen[v]:
+                if level[v] > 0 and not seen[v]:
                     seen[v] = 1
                     to_clear.append(v)
+        pending = len(to_clear)  # marked variables the walk has not reached
         if self.trail_lim:
             for idx in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
+                if not pending:
+                    break
                 l = self.trail[idx]
                 v = l >> 1
                 if not seen[v]:
                     continue
+                pending -= 1
                 r = self.reason[v]
                 if r is None:
                     out.add(l)
                 else:
                     for q in r[1:]:
                         u = q >> 1
-                        if self.level[u] > 0 and not seen[u]:
+                        if level[u] > 0 and not seen[u]:
                             seen[u] = 1
                             to_clear.append(u)
+                            pending += 1
         for v in to_clear:
             seen[v] = 0
         return out
@@ -339,9 +363,11 @@ class Solver:
         self.learnts = kept
 
     def _pick_branch(self) -> int:
-        heap, assign = self.heap, self.assign
+        heap, assign, activity, in_heap = self.heap, self.assign, self.activity, self.in_heap
         while heap:
-            _, v = heappop(heap)
+            key, v = heappop(heap)
+            if key == -activity[v]:  # v's current entry, not a stale one
+                in_heap[v] = 0
             if assign[v] < 0:
                 return (v << 1) | (self.polarity[v] ^ 1)
         return -1
@@ -354,7 +380,17 @@ class Solver:
             self._ensure_var(max(l >> 1 for l in assumptions))
         if not self.ok:
             return SatResult(False, failed=[])
-        self.cancel_until(0)
+        keep, assumed = 0, self.assumed
+        limit = min(len(self.trail_lim), len(assumptions))
+        while keep < limit and assumed[keep] == assumptions[keep]:
+            keep += 1
+        self.cancel_until(keep)
+        self.assumed = assumptions
+        # Only a call without conflicts keeps its assumption levels: after a
+        # conflict, a kept level may hold a learnt literal out of propagation
+        # order, or a clause watching one of its false literals, and a descent
+        # from level 0 would re-scan them and could propagate in another order.
+        start = self.conflicts
         restart_limit = 100
         conflicts_here = 0
         while True:
@@ -386,7 +422,8 @@ class Solver:
                 elif val == 0:
                     failed = self._analyze_final(p, None)
                     ordered = [a for a in assumptions if a in failed]
-                    self.cancel_until(0)
+                    if self.conflicts != start:
+                        self.cancel_until(0)
                     return SatResult(False, failed=ordered)
                 else:
                     self.trail_lim.append(len(self.trail))
@@ -395,7 +432,7 @@ class Solver:
                 lit = self._pick_branch()
                 if lit == -1:
                     model = [x == 1 for x in self.assign]
-                    self.cancel_until(0)
+                    self.cancel_until(len(assumptions) if self.conflicts == start else 0)
                     return SatResult(True, model=model)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)

@@ -14,8 +14,9 @@ import numpy as np
 from ihswcsp.model import HardConstraint, WcspInstance, evaluate, make_cost_function
 
 
-def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
-    """Vectorized truth-table satisfiability for CNFs up to ~22 variables."""
+def truth_table(num_vars: int, clauses):
+    """Boolean mask over all ``2**num_vars`` assignments (bit ``v`` of the
+    row index is variable ``v``) marking those that satisfy every clause."""
     n = 1 << num_vars
     bits = np.arange(n, dtype=np.int64)
 
@@ -29,9 +30,12 @@ def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
         for lit in clause:
             acc |= lit_true(lit)
         sat &= acc
-    for lit in assumptions:
-        sat &= lit_true(lit)
-    return bool(sat.any())
+    return sat
+
+
+def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
+    """Vectorized truth-table satisfiability for CNFs up to ~22 variables."""
+    return bool(truth_table(num_vars, [*clauses, *([a] for a in assumptions)]).any())
 
 
 def random_cnf(rng: random.Random, max_vars: int = 14, max_width: int = 3):

@@ -24,6 +24,7 @@ def test_solve_reports_optimum(toy_path, capsys):
     assert "optimum=2" in out
     assert "iterations=" in out
     assert "hv_nodes=" in out
+    assert "sat_conflicts=0" in out  # one cell: every probe is decided by propagation
 
 
 def test_solve_unknown_strategy_exits_one(toy_path):

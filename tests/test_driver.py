@@ -9,7 +9,7 @@ from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
 from ihswcsp.improve import improve_core
 from ihswcsp.merge import build_merged
 from ihswcsp.model import CostFunction, HardConstraint, WcspInstance, cost, make_cost_function
-from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_uniform
+from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
 from oracles import random_tiny_instance
 
 ALL_HV = ("lb", "ub", "grd-lb", "grd-ub")
@@ -193,6 +193,14 @@ def test_deadline_interrupts_hitting_search():
     assert report.total_time < 2.5
 
 
+def test_deadline_holds_in_ub_mode():
+    # ub mode spends its time in cost-bounded searches and improvement probes
+    w = gen_scale_free(GeneratorParams(25, 3, 2, 4, 6, seed=1))
+    report = solve(w, SolverConfig(hv="ub", core="maximal", time_limit=2))
+    assert report.status == "timeout"
+    assert report.total_time < 2.5
+
+
 def test_iteration_cap_raises():
     w = _forced_instance()
     with pytest.raises(IterationCapExceeded):
@@ -201,6 +209,7 @@ def test_iteration_cap_raises():
 
 def test_determinism_of_counters():
     rng = random.Random(25)
+    conflicts = 0
     for _ in range(5):
         w = random_tiny_instance(rng)
         for hv in ALL_HV:
@@ -212,14 +221,17 @@ def test_determinism_of_counters():
                 b.iterations,
                 b.core_set_size,
             )
-            assert (a.hv_calls, a.hv_nodes, a.sat_calls, a.improve_probes) == (
+            assert (a.hv_calls, a.hv_nodes, a.sat_calls, a.sat_conflicts, a.improve_probes) == (
                 b.hv_calls,
                 b.hv_nodes,
                 b.sat_calls,
+                b.sat_conflicts,
                 b.improve_probes,
             )
             if not hv.startswith("grd-"):  # every iteration runs the branch and bound
                 assert a.hv_nodes >= a.hv_calls > 0
+            conflicts += a.sat_conflicts
+    assert conflicts > 0  # the counter is read from the SAT engine
 
 
 def test_grd_exact_fallback_engages_and_stays_correct():

@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 from ihswcsp.sat import Solver, neg, pos
-from oracles import random_cnf, truth_table_sat
+from oracles import random_cnf, truth_table, truth_table_sat
 
 
 def test_new_var_monotone():
@@ -158,3 +159,50 @@ def test_hard_random_formulas_near_phase_transition():
         for c in clauses:
             s.add_clause(c)
         assert s.solve().sat == truth_table_sat(n, clauses)
+
+
+def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
+    # one solver answers a run of probes shaped like core improvement: a
+    # shared assumption list with one literal changed, a fresh list now and
+    # then, and an occasional new clause; the digest was recorded with a
+    # solver that restarted every call from level 0, so it pins the search
+    # that the kept assumption trail must not change
+    rng = random.Random(102)  # keeping the trail after conflicts changes this search
+    n = 16
+
+    def literals(width):
+        return [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), width)]
+
+    clauses = [literals(4) for _ in range(110)]
+    s = Solver()
+    for c in clauses:
+        s.add_clause(c)
+    base = literals(5)
+    digest = hashlib.sha256()
+    models = truth_table(n, clauses)
+    for _ in range(300):
+        if rng.random() < 0.03:
+            clauses.append(literals(4))
+            s.add_clause(clauses[-1])
+            models = truth_table(n, clauses)
+        if rng.random() < 0.05:
+            base = literals(5)
+        assumptions = list(base)
+        assumptions[rng.randrange(len(base))] ^= 1
+        if rng.random() < 0.2:
+            base = assumptions
+        res = s.solve(assumptions)
+        assert res.sat == bool((models & truth_table(n, [[a] for a in assumptions])).any())
+        if res.sat:
+            for c in clauses:
+                assert any(res.model[l >> 1] == (not l & 1) for l in c)
+            for a in assumptions:
+                assert res.model[a >> 1] == (not a & 1)
+        else:
+            fresh = Solver()
+            for c in clauses + [[a] for a in res.failed]:
+                fresh.add_clause(c)
+            assert not fresh.solve().sat
+        digest.update(repr((res.sat, res.model, res.failed)).encode())
+    assert s.conflicts > 0
+    assert digest.hexdigest() == "85e64fcf547cd676c3b102b9342ac92714651611df75d6d90c7a7172a870430a"
