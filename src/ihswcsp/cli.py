@@ -39,6 +39,8 @@ CSV_FIELDS = [
     "hv_time_ms",
     "sat_time_ms",
     "improve_time_ms",
+    "merge_time_ms",
+    "encode_time_ms",
     "total_time_ms",
     "error",
 ]
@@ -139,6 +141,8 @@ def _report_fields(report: RunReport) -> dict[str, object]:
         "hv_time_ms": round(report.hv_time * 1000),
         "sat_time_ms": round(report.sat_time * 1000),
         "improve_time_ms": round(report.improve_time * 1000),
+        "merge_time_ms": round(report.merge_time * 1000),
+        "encode_time_ms": round(report.encode_time * 1000),
         "total_time_ms": round(report.total_time * 1000),
     }
 

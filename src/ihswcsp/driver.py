@@ -58,7 +58,9 @@ class RunReport:
     ``sat_conflicts`` counts the SAT engine's conflicts over all of them.
     ``sat_time`` is the time of all those solves, so it overlaps
     ``improve_time``, which covers whole improvement and disjoint phases.
-    Bounds and the optimum include the instance's constant offset."""
+    ``merge_time`` (0 without merging) and ``encode_time`` are the set-up
+    before the first solve.  Bounds and the optimum include the instance's
+    constant offset."""
 
     status: str
     optimum: int | None
@@ -78,6 +80,8 @@ class RunReport:
     hv_time: float
     sat_time: float
     improve_time: float
+    merge_time: float
+    encode_time: float
     total_time: float
     best_assignment: Assignment | None = None
     final_cores: list[CostVector] | None = None
@@ -101,6 +105,7 @@ class _Run:
         self.trace: list[tuple[int | None, int | None]] = []
         self.hv_time = 0.0
         self.improve_time = 0.0
+        self.merge_time = self.encode_time = 0.0  # set by solve()
         self.inserted: list[CostVector] = []
 
     def hitting(self, kind: str):
@@ -251,11 +256,10 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     cfg = cfg or SolverConfig()
     cfg.validate()
     started = time.perf_counter()
-    if cfg.merge:
-        view = build_merged(instance, cfg.merge_cap).view
-    else:
-        view = instance
+    view = build_merged(instance, cfg.merge_cap).view if cfg.merge else instance
+    merged = time.perf_counter()
     run = _Run(view, cfg, started)
+    run.merge_time, run.encode_time = merged - started, time.perf_counter() - merged
     offset = view.constant_offset
     status = "optimal"
     try:
@@ -298,6 +302,8 @@ def _report(
         hv_time=run.hv_time,
         sat_time=run.enc.solve_time,
         improve_time=run.improve_time,
+        merge_time=run.merge_time,
+        encode_time=run.encode_time,
         total_time=time.perf_counter() - started,
         best_assignment=run.best_assignment,
         final_cores=list(run.cores) if run.cfg.keep_cores else None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from math import prod
 
 from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
 from .sat import Solver, pos
@@ -72,24 +73,21 @@ class InducedCspEncoding:
                 solver.add_clause([sels[j] ^ 1, sels[j + 1]])
             self.sel.append(sels)
             base = space.baseline[i]
+            below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
             for t, c in sorted(f.explicit.items()):
                 if c > base:
-                    self._forbid(f.scope, t, sels[space.index(i, c) - 1])
-            if f.default_cost > base:
-                unlisted = [
-                    t
-                    for t in itertools.product(*(range(instance.domains[x]) for x in f.scope))
-                    if t not in f.explicit
-                ]
-                if unlisted:
-                    j = space.index(i, f.default_cost)
-                    for t in unlisted:
-                        self._forbid(f.scope, t, sels[j - 1])
+                    self._forbid(f.scope, t, below[c])
+            ranges = [range(instance.domains[x]) for x in f.scope]
+            # a full table has no unlisted tuple to enumerate
+            if f.default_cost > base and len(f.explicit) < prod(map(len, ranges)):
+                unlisted = [t for t in itertools.product(*ranges) if t not in f.explicit]
+                j = space.index(i, f.default_cost)
+                for t in unlisted:
+                    self._forbid(f.scope, t, sels[j - 1])
 
     def _forbid(self, scope, t, sel_lit) -> None:
-        clause = [sel_lit ^ 1]
-        clause.extend(self.value_lit[x][a] ^ 1 for x, a in zip(scope, t))
-        self.solver.add_clause(clause)
+        value_lit = self.value_lit
+        self.solver.add_clause([sel_lit ^ 1] + [value_lit[x][a] ^ 1 for x, a in zip(scope, t)])
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,20 +1,25 @@
 """Cost-function merging guided by a min-fill tree decomposition.
 
 Functions whose scopes land in the same decomposition cluster are merged into
-a single cost function by enumerating the union scope and summing member
-costs, shrinking the dimension of the cost-vector space while preserving the
-optimum.  Clusters whose enumeration would exceed the cap fall back to the
-original unmerged functions.
+a single cost function over the union scope, shrinking the dimension of the
+cost-vector space while preserving the optimum.  The merged table is built by
+numpy broadcasting: each member becomes a dense array over its own scope,
+transposed into the union scope's axis order and summed in.  Clusters whose
+union table would exceed the cap fall back to the original unmerged
+functions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Iterable
 
-from .model import CostFunction, WcspInstance, make_cost_function
+import numpy as np
+
+from .model import CostFunction, WcspInstance
 
 
 def min_fill_order(
@@ -22,40 +27,46 @@ def min_fill_order(
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Eliminate the vertex adding the fewest fill edges (ties: lowest index);
     returns the order and the induced clusters (vertex plus its neighbors at
-    elimination time)."""
+    elimination time).
+
+    Fill counts are kept in a heap.  An elimination changes the neighborhood
+    of its neighbors only, and the edges among the common neighbors of each
+    fill edge's ends, so only those counts are recomputed."""
     adj: list[set[int]] = [set() for _ in range(num_vertices)]
     for u, v in edges:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
-    remaining = set(range(num_vertices))
+
+    def fill2(v: int) -> int:  # twice the fill: a missing edge is seen from both ends
+        nb = adj[v]
+        return sum(len(nb - adj[a]) for a in nb) - len(nb)
+
+    fill = [fill2(v) for v in range(num_vertices)]
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapify(heap)
     order: list[int] = []
     clusters: list[tuple[int, ...]] = []
-    while remaining:
-        best_v = -1
-        best_fill = None
-        for v in sorted(remaining):
-            nb = adj[v]
-            fill = 0
-            nb_list = sorted(nb)
-            for a_i, a in enumerate(nb_list):
-                for b in nb_list[a_i + 1 :]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        nb_list = sorted(adj[best_v])
-        order.append(best_v)
-        clusters.append(tuple(sorted([best_v, *nb_list])))
-        for a_i, a in enumerate(nb_list):
-            for b in nb_list[a_i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nb_list:
-            adj[a].discard(best_v)
-        adj[best_v].clear()
-        remaining.discard(best_v)
+    while heap:
+        f, v = heappop(heap)
+        if f != fill[v]:
+            continue  # a stale entry
+        fill[v] = -1  # eliminated: no entry matches it again
+        nb = adj[v]
+        order.append(v)
+        clusters.append(tuple(sorted([v, *nb])))
+        touched = set(nb)
+        for a in nb:
+            new = nb - adj[a] - {a}  # the fill edges at a
+            adj[a] |= new
+            adj[a].discard(v)
+            for b in new:
+                touched |= adj[a] & adj[b]
+        for u in touched:
+            f = fill2(u)
+            if f != fill[u]:
+                fill[u] = f
+                heappush(heap, (f, u))
     return order, clusters
 
 
@@ -75,20 +86,23 @@ class MergedProblem:
 def _merge_group(
     w: WcspInstance, group: tuple[int, ...]
 ) -> CostFunction:
-    scope = tuple(sorted(set(itertools.chain.from_iterable(w.cost_functions[i].scope for i in group))))
     members = [w.cost_functions[i] for i in group]
-    positions = [
-        [scope.index(x) for x in f.scope] for f in members
-    ]
-    table: dict[tuple[int, ...], int] = {}
-    for assignment in itertools.product(*(range(w.domains[x]) for x in scope)):
-        total = 0
-        for f, posn in zip(members, positions):
-            total += f.explicit.get(tuple(assignment[p] for p in posn), f.default_cost)
-        table[assignment] = total
-    merged = make_cost_function(scope, min(table.values()), table, w.domains)
-    assert merged is not None
-    return merged
+    scope = tuple(sorted({x for f in members for x in f.scope}))
+    exact = sum(max(f.default_cost, f.levels[-1]) for f in members) < 2**63
+    dtype = np.int64 if exact else object  # Python ints where int64 could overflow
+    total = np.zeros([w.domains[x] for x in scope], dtype)
+    for f in members:
+        dense = np.full([w.domains[x] for x in f.scope], f.default_cost, dtype)
+        for t, c in f.explicit.items():
+            dense[t] = c
+        axes = sorted(range(len(f.scope)), key=f.scope.__getitem__)
+        total += dense.transpose(axes).reshape(
+            [w.domains[x] if x in f.scope else 1 for x in scope]
+        )
+    costs = total.ravel().tolist()
+    table = dict(zip(itertools.product(*map(range, total.shape)), costs))
+    levels = tuple(sorted(set(costs)))
+    return CostFunction(scope, levels[0], table, levels)
 
 
 def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:

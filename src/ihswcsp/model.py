@@ -175,8 +175,9 @@ class WcspInstance:
             raise ValueError("every domain must be nonempty")
         for hc in self.hard_constraints:
             self._check_scope(hc.scope, n)
-            for t in hc.forbidden:
-                self._check_tuple(t, hc.scope)
+            if not self._tuples_fit(hc.forbidden, hc.scope):
+                for t in hc.forbidden:
+                    self._check_tuple(t, hc.scope)
         for f in self.cost_functions:
             self._check_scope(f.scope, n)
             if not all(a < b for a, b in zip(f.levels, f.levels[1:])):
@@ -186,16 +187,28 @@ class WcspInstance:
             if not (0 <= f.levels[0] and f.levels[-1] < self.top):
                 raise ValueError("levels must lie in [0, top)")
             level_set = set(f.levels)
-            for t, c in f.explicit.items():
+            if self._tuples_fit(f.explicit, f.scope) and level_set.issuperset(f.explicit.values()):
+                continue
+            for t, c in f.explicit.items():  # find and name the first bad entry
                 self._check_tuple(t, f.scope)
                 if c not in level_set:
-                    raise ValueError(f"explicit cost {c} missing from levels")
+                    raise ValueError(f"explicit cost {c} of tuple {t} missing from levels")
 
     def _check_scope(self, scope: tuple[int, ...], n: int) -> None:
         if len(set(scope)) != len(scope):
             raise ValueError(f"repeated variable in scope {scope}")
         if any(not (0 <= x < n) for x in scope):
             raise ValueError(f"scope {scope} out of range for {n} variables")
+
+    def _tuples_fit(self, tuples, scope: tuple[int, ...]) -> bool:
+        """Whether every tuple fits the scope's arity and domains, by columns."""
+        if not tuples:
+            return True
+        if set(map(len, tuples)) != {len(scope)}:
+            return False
+        return all(
+            0 <= min(col) and max(col) < self.domains[x] for x, col in zip(scope, zip(*tuples))
+        )
 
     def _check_tuple(self, t: tuple[int, ...], scope: tuple[int, ...]) -> None:
         if len(t) != len(scope):

@@ -32,12 +32,15 @@ def neg(v: int) -> int:
 
 
 class Clause(list):
-    __slots__ = ("learnt", "act")
+    """A problem clause; built by list's own constructor, so it is cheap."""
 
-    def __init__(self, lits, learnt=False):
-        super().__init__(lits)
-        self.learnt = learnt
-        self.act = 0.0
+    __slots__ = ()
+    learnt = False
+
+
+class Learnt(Clause):
+    __slots__ = ("act",)
+    learnt = True
 
 
 @dataclass
@@ -62,7 +65,7 @@ class Solver:
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: list[Clause] = []
-        self.learnts: list[Clause] = []
+        self.learnts: list[Learnt] = []
         self.watches: list[list[Clause]] = []
         self.assign: list[int] = []  # -1 unassigned, 0 false, 1 true
         self.level: list[int] = []
@@ -105,25 +108,24 @@ class Solver:
     def add_clause(self, lits) -> None:
         """Add a permanent clause.  Tautologies are dropped, duplicate and
         root-level-false literals removed; an effectively empty clause makes
-        the solver permanently UNSAT."""
-        lits = list(lits)
-        if lits:
-            self._ensure_var(max(l >> 1 for l in lits))
+        the solver permanently UNSAT.  The clause is stored with its literals
+        sorted and watches its first two; root-level values are read only
+        when the root trail holds any."""
+        out = sorted(set(lits))
+        if out and out[-1] >> 1 >= self.num_vars:
+            self._ensure_var(out[-1] >> 1)
         if not self.ok:
             return
-        self.cancel_until(0)
-        out: list[int] = []
-        prev = -1
-        for l in sorted(set(lits)):
-            if l == prev ^ 1 and prev >= 0:
+        if self.trail_lim:
+            self.cancel_until(0)
+        for a, b in zip(out, out[1:]):
+            if b == a ^ 1:
                 return  # tautology
-            prev = l
-            val = self.assign[l >> 1] ^ (l & 1)
-            if val == 1:
+        if self.trail:
+            vals = [self.assign[l >> 1] ^ (l & 1) for l in out]
+            if 1 in vals:
                 return  # satisfied at root level
-            if val == 0:
-                continue  # false at root level
-            out.append(l)
+            out = [l for l, val in zip(out, vals) if val < 0]  # drop false literals
         if not out:
             self.ok = False
             return
@@ -337,7 +339,7 @@ class Solver:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
             return
-        c = Clause(learnt, learnt=True)
+        c = Learnt(learnt)
         c.act = self.cla_inc
         self.learnts.append(c)
         self.watches[c[0] ^ 1].append(c)

@@ -11,7 +11,13 @@ import random
 
 import numpy as np
 
-from ihswcsp.model import HardConstraint, WcspInstance, evaluate, make_cost_function
+from ihswcsp.model import (
+    CostFunction,
+    HardConstraint,
+    WcspInstance,
+    evaluate,
+    make_cost_function,
+)
 
 
 def truth_table(num_vars: int, clauses):
@@ -135,3 +141,58 @@ def brute_force_optimum_slow(w: WcspInstance) -> int | None:
         if feasible and (best is None or tot < best):
             best = tot
     return best + w.constant_offset if best is not None else None
+
+
+def merge_group_slow(w: WcspInstance, group: tuple[int, ...]) -> CostFunction:
+    """Reference merge: enumerate the union scope and sum each member's cost
+    per assignment."""
+    scope = tuple(sorted(set(itertools.chain.from_iterable(w.cost_functions[i].scope for i in group))))
+    members = [w.cost_functions[i] for i in group]
+    positions = [[scope.index(x) for x in f.scope] for f in members]
+    table: dict[tuple[int, ...], int] = {}
+    for assignment in itertools.product(*(range(w.domains[x]) for x in scope)):
+        total = 0
+        for f, posn in zip(members, positions):
+            total += f.explicit.get(tuple(assignment[p] for p in posn), f.default_cost)
+        table[assignment] = total
+    merged = make_cost_function(scope, min(table.values()), table, w.domains)
+    assert merged is not None
+    return merged
+
+
+def min_fill_order_slow(num_vertices: int, edges):
+    """Reference min-fill elimination: rescan every remaining vertex's fill
+    count at each step (ties: lowest index)."""
+    adj: list[set[int]] = [set() for _ in range(num_vertices)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    remaining = set(range(num_vertices))
+    order: list[int] = []
+    clusters: list[tuple[int, ...]] = []
+    while remaining:
+        best_v = -1
+        best_fill = None
+        for v in sorted(remaining):
+            nb_list = sorted(adj[v])
+            fill = 0
+            for a_i, a in enumerate(nb_list):
+                for b in nb_list[a_i + 1 :]:
+                    if b not in adj[a]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_fill = fill
+                best_v = v
+        nb_list = sorted(adj[best_v])
+        order.append(best_v)
+        clusters.append(tuple(sorted([best_v, *nb_list])))
+        for a_i, a in enumerate(nb_list):
+            for b in nb_list[a_i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nb_list:
+            adj[a].discard(best_v)
+        adj[best_v].clear()
+        remaining.discard(best_v)
+    return order, clusters

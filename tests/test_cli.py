@@ -25,6 +25,8 @@ def test_solve_reports_optimum(toy_path, capsys):
     assert "iterations=" in out
     assert "hv_nodes=" in out
     assert "sat_conflicts=0" in out  # one cell: every probe is decided by propagation
+    fields = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    assert int(fields["merge_time_ms"]) >= 0 and int(fields["encode_time_ms"]) >= 0
 
 
 def test_solve_unknown_strategy_exits_one(toy_path):
@@ -156,7 +158,7 @@ def test_bench_rows_deterministic_modulo_times(tmp_path):
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         for r in rows:
-            for col in ("hv_time_ms", "sat_time_ms", "improve_time_ms", "total_time_ms"):
+            for col in [c for c in r if c.endswith("_time_ms")]:
                 r.pop(col)
         return rows
 
@@ -176,7 +178,7 @@ def test_bench_parallel_matches_serial(tmp_path):
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         for r in rows:
-            for col in ("hv_time_ms", "sat_time_ms", "improve_time_ms", "total_time_ms"):
+            for col in [c for c in r if c.endswith("_time_ms")]:
                 r.pop(col)
         return rows
 

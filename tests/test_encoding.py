@@ -5,6 +5,7 @@ import pytest
 
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.model import (
+    CostFunction,
     HardConstraint,
     WcspInstance,
     dominates,
@@ -154,3 +155,19 @@ def test_encoding_scales_to_wide_domains():
     # may or may not exist, but the query itself must decode cleanly
     if isinstance(res, Satisfiable):
         assert res.solution_vector == tuple([0] * 50)
+
+
+def test_full_table_encodes_without_its_default():
+    # a table listing every tuple never uses its default, so a default above
+    # the minimum (here not even a level) adds no clause; with one tuple
+    # unlisted, the default's clause takes that tuple's place
+    table = {t: (t[0] + 2 * t[1]) % 3 for t in itertools.product(range(2), range(3))}
+
+    def clauses(default, explicit):
+        f = CostFunction((1, 0), default, explicit, (0, 1, 2, 3))
+        enc = InducedCspEncoding(WcspInstance("full", (3, 2), (), (f,), 10))
+        return [list(c) for c in enc.solver.clauses]
+
+    assert clauses(9, table) == clauses(0, table)
+    partial = {t: c for t, c in table.items() if t != (1, 2)}  # the last tuple in order
+    assert clauses(3, partial) == clauses(0, {**partial, (1, 2): 3})

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from ihswcsp.merge import build_merged, min_fill_order
+from ihswcsp.merge import _merge_group, build_merged, min_fill_order
 from ihswcsp.model import WcspInstance, evaluate, make_cost_function
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_uniform
-from oracles import random_tiny_instance
+from oracles import merge_group_slow, min_fill_order_slow, random_tiny_instance
 
 
 def test_min_fill_triangle():
@@ -27,6 +27,18 @@ def test_min_fill_empty_graph():
     order, clusters = min_fill_order(3, [])
     assert order == [0, 1, 2]
     assert clusters == [(0,), (1,), (2,)]
+
+
+def test_min_fill_matches_quadratic_reference():
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.randint(0, 24)
+        density = rng.random() * 0.6
+        # u == v gives self-loops; low densities give empty and path-like graphs
+        edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        assert min_fill_order(n, edges) == min_fill_order_slow(n, edges)
 
 
 def test_merge_two_functions_on_same_scope():
@@ -66,6 +78,29 @@ def test_cap_fallback_counts_splits():
     merged = build_merged(w, cap=8)  # union scope needs 64 assignments
     assert merged.split_clusters >= 1
     assert merged.view.cost_functions == w.cost_functions
+
+
+def test_merge_group_matches_enumeration():
+    # unsorted and unary scopes and nonzero defaults exercise the transpose
+    # of each member into the union scope's axis order
+    rng = random.Random(21)
+    for _ in range(300):
+        w = random_tiny_instance(rng, max_vars=5, max_funcs=5)
+        k = len(w.cost_functions)
+        group = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+        fast, slow = _merge_group(w, group), merge_group_slow(w, group)
+        assert fast == slow
+        assert list(fast.explicit) == list(slow.explicit)
+
+
+def test_merge_group_sums_past_int64_exactly():
+    big = 2**62 + 3
+    f1 = make_cost_function((1, 0), 0, {(0, 1): big, (1, 1): 1}, (2, 2))
+    f2 = make_cost_function((0, 1), 1, {(1, 0): big}, (2, 2))
+    w = WcspInstance("big", (2, 2), (), (f1, f2), 2**64)
+    merged = _merge_group(w, (0, 1))
+    assert merged == merge_group_slow(w, (0, 1))
+    assert merged.explicit[(1, 0)] == 2 * big
 
 
 def test_sum_decomposition_invariant():

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ihswcsp.model import (
     CoreSet,
+    CostFunction,
     HardConstraint,
     LevelSpace,
     WcspInstance,
@@ -178,3 +181,26 @@ def test_instance_validation():
     bad_scope = make_cost_function((0, 0), 0, {(0, 0): 1}, (1, 1))
     with pytest.raises(ValueError):
         WcspInstance("bad", (1, 1), (), (bad_scope,), 10)
+
+
+@pytest.mark.parametrize(
+    "bad, cost",
+    [((25, 3), 1), ((-1, 3), 1), ((4, 3, 0), 1), ((4, 3), 7)],
+    ids=["outside-domain", "negative", "wrong-arity", "cost-not-a-level"],
+)
+def test_validation_names_a_bad_tuple_among_many_good(bad, cost):
+    # the scope (1, 0) lists variable 1 (20 values) first and variable 0
+    # (30 values) second, so 25 fits the second column's domain only
+    good = [(a, b) for a in range(20) for b in range(20) if (a, b) != bad[:2]]
+    explicit = {t: sum(t) % 3 for t in good[:200]}
+    explicit[bad] = cost
+    explicit.update((t, sum(t) % 3) for t in good[200:])
+    f = CostFunction((1, 0), 0, explicit, (0, 1, 2))
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        WcspInstance("bad", (30, 20), (), (f,), 10)
+    if cost == 1:  # the same tuple among a hard constraint's forbidden tuples
+        hc = HardConstraint((1, 0), frozenset([*good, bad]))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            WcspInstance("bad", (30, 20), (hc,), (), 10)
+    del explicit[bad]
+    WcspInstance("good", (30, 20), (), (CostFunction((1, 0), 0, explicit, (0, 1, 2)),), 10)

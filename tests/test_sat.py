@@ -206,3 +206,42 @@ def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
         digest.update(repr((res.sat, res.model, res.failed)).encode())
     assert s.conflicts > 0
     assert digest.hexdigest() == "85e64fcf547cd676c3b102b9342ac92714651611df75d6d90c7a7172a870430a"
+
+
+def _add_clause_stream_digest():
+    # seeded clause streams with duplicate literals, tautologies, unit clauses
+    # (which leave true and false literals at the root), new variables, and
+    # assumption solves in between, so that some clauses arrive while the
+    # last solve's assumption levels are still on the trail
+    digest = hashlib.sha256()
+    seen = {"kept_levels": 0, "root_values": 0, "tautologies": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        s = Solver()
+        for _ in range(50):
+            width = 1 if rng.random() < 0.08 else rng.randint(2, 4)
+            top = s.num_vars + (2 if rng.random() < 0.2 else 0)
+            lits = [rng.randrange(2 * max(top, 3)) for _ in range(width)]
+            if rng.random() < 0.1:
+                lits.append(lits[0])
+            if rng.random() < 0.05:
+                lits.append(lits[-1] ^ 1)
+                seen["tautologies"] += 1
+            seen["kept_levels"] += bool(s.trail_lim)
+            seen["root_values"] += bool(s.trail) and not s.trail_lim
+            s.add_clause(lits)
+            state = (s.ok, s.clauses, s.watches, s.trail)
+            digest.update(repr(state).encode())
+            if rng.random() < 0.4:
+                picks = rng.sample(range(s.num_vars), min(3, s.num_vars))
+                s.solve([pos(v) if rng.random() < 0.5 else neg(v) for v in picks])
+    return digest.hexdigest(), seen
+
+
+def test_add_clause_matches_recorded_clauses_watches_and_trail():
+    # the digest was recorded with a solver that cancelled, deduplicated and
+    # read every literal's root value on every add; it pins the stored
+    # clauses, their literal order, every watch list and the trail
+    digest, seen = _add_clause_stream_digest()
+    assert all(seen.values()), seen
+    assert digest == "7df50fcd8cfbfec7d9b54765d848d26d9f46d6caba9338f6080b1fc7eacd69f7"
