@@ -7,7 +7,6 @@ from .improve import ImproveOutcome, improve_core
 from .merge import MergedProblem, build_merged, min_fill_order
 from .model import (
     Assignment,
-    CoreSet,
     CostFunction,
     CostVector,
     HardConstraint,
@@ -18,7 +17,6 @@ from .model import (
     evaluate,
     hits,
     make_cost_function,
-    maximal_subset,
 )
 from .wcsp_io import (
     EnumerationCapExceeded,
@@ -33,7 +31,6 @@ from .wcsp_io import (
 
 __all__ = [
     "Assignment",
-    "CoreSet",
     "CostFunction",
     "CostVector",
     "EnumerationCapExceeded",
@@ -63,7 +60,6 @@ __all__ = [
     "hits",
     "improve_core",
     "make_cost_function",
-    "maximal_subset",
     "min_cost_hv",
     "min_fill_order",
     "parse_wcsp",

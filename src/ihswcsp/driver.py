@@ -16,7 +16,7 @@ from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Un
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import STRATEGIES, ImproveOutcome, improve_core
 from .merge import build_merged
-from .model import Assignment, CoreSet, CostVector, WcspInstance, cost
+from .model import Assignment, CostVector, WcspInstance, cost
 
 HV_STRATEGIES = ("lb", "ub", "grd-lb", "grd-ub")
 
@@ -93,13 +93,12 @@ class _Run:
         self.cfg = cfg
         self.enc = InducedCspEncoding(view)
         self.enc.deadline = started + cfg.time_limit
-        self.cores = CoreSet()
+        self.problem = HittingProblem(self.enc.space, deadline=self.enc.deadline)
         self.lb = 0
         self.ub: int | None = None
         self.best_assignment: Assignment | None = None
         self.iterations = 0
         self.hv_calls = 0
-        self.hv_nodes = 0
         self.improve_probes = 0
         self.exact_fallbacks = 0
         self.trace: list[tuple[int | None, int | None]] = []
@@ -111,18 +110,16 @@ class _Run:
     def hitting(self, kind: str):
         if self.enc.deadline is not None and time.perf_counter() > self.enc.deadline:
             raise SolveDeadlineExceeded
-        problem = HittingProblem(self.enc.space, self.cores, self.enc.deadline)
         t = time.perf_counter()
         try:
             if kind == "min":
-                return min_cost_hv(problem)
+                return min_cost_hv(self.problem)
             if kind == "bounded":
-                return cost_bounded_hv(problem, self.ub)
-            return greedy_hv(problem)
+                return cost_bounded_hv(self.problem, self.ub)
+            return greedy_hv(self.problem)
         finally:
             self.hv_time += time.perf_counter() - t
             self.hv_calls += 1
-            self.hv_nodes += problem.nodes
 
     def _record_solution(self, sv_cost: int, assignment: Assignment | None) -> bool:
         """Take the solution as the incumbent if it improves ub; returns
@@ -134,7 +131,7 @@ class _Run:
         return False
 
     def _add_outcome(self, outcome: ImproveOutcome) -> None:
-        self.cores.add(outcome.core)
+        self.problem.add(outcome.core)
         if self.cfg.keep_cores:
             self.inserted.append(outcome.core)
         if outcome.new_ub is not None:
@@ -290,12 +287,12 @@ def _report(
         final_ub=off(run.ub),
         iterations=run.iterations,
         hv_calls=run.hv_calls,
-        hv_nodes=run.hv_nodes,
+        hv_nodes=run.problem.nodes,
         sat_calls=run.enc.num_solves,
         sat_conflicts=run.enc.solver.conflicts,
         improve_probes=run.improve_probes,
-        core_set_size=len(run.cores),
-        core_insertions=run.cores.insertions,
+        core_set_size=len(run.problem.cores),
+        core_insertions=run.problem.insertions,
         components=run.enc.num_components,
         exact_fallbacks=run.exact_fallbacks,
         bounds_trace=[(off(lb), off(ub)) for lb, ub in run.trace],
@@ -306,6 +303,6 @@ def _report(
         encode_time=run.encode_time,
         total_time=time.perf_counter() - started,
         best_assignment=run.best_assignment,
-        final_cores=list(run.cores) if run.cfg.keep_cores else None,
+        final_cores=list(run.problem.cores) if run.cfg.keep_cores else None,
         inserted_cores=list(run.inserted) if run.cfg.keep_cores else None,
     )

@@ -1,10 +1,16 @@
 """Hitting vectors over a core set: exact minimum-cost, cost-bounded decision,
 and greedy ratio heuristic.
 
-All three operate on the level grid: a vector hits a core iff some component
-reaches that core's witness level (the smallest level strictly above the
-core's entry).  The exact search is a depth-first branch and bound over cores
-with a disjoint-residual lower bound; it replaces an external 0/1 IP solver.
+The core set is a ``HittingProblem``.  A run owns one, and ``add`` grows it
+by one core per step, keeping it an antichain under domination: a core that a
+stored one dominates is refused, and one that is stored drops the cores it
+dominates.  The witness tables grow with it, so no call rebuilds them.
+
+All three searches operate on the level grid: a vector hits a core iff some
+component reaches that core's witness level (the smallest level strictly
+above the core's entry).  The exact search is a depth-first branch and bound
+over cores with a disjoint-residual lower bound; it replaces an external 0/1
+IP solver.
 
 The branch and bound runs on an explicit stack, so its depth is not limited
 by Python's recursion limit.  Each node carries, for every core it has not
@@ -37,43 +43,64 @@ class Unhittable(RuntimeError):
 class HittingProblem:
     """A level space plus the cores to hit, with per-core witness tables.
 
-    ``witnesses[c]`` maps each component where core ``c`` is below its
-    maximum to the core's witness level there, and ``masks[c]`` has a bit
-    set for each of those components.  ``columns[i][c]`` is the witness
-    level of core ``c`` at component ``i``, or, where there is none, a value
-    above every level whose distance to any level exceeds every increment.
-    ``deadline`` is a ``time.perf_counter()`` reading after which the branch
-    and bound gives up; ``nodes`` counts the nodes it has visited."""
+    A run owns one problem and grows it with ``add`` as it finds cores; every
+    hitting-vector call reads that same object.  ``witnesses[c]`` maps each
+    component where core ``c`` is below its maximum to the core's witness
+    level there, and ``masks[c]`` has a bit set for each of those components.
+    ``columns[i][c]`` is the witness level of core ``c`` at component ``i``,
+    or, where there is none, a value above every level whose distance to any
+    level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
+    reading after which the branch and bound gives up; ``nodes`` counts the
+    nodes it has visited, and ``insertions`` the cores ``add`` has stored.
+    The constructor stores ``cores`` exactly as given, in order."""
 
     def __init__(
-        self, space: LevelSpace, cores: Iterable[CostVector], deadline: float | None = None
+        self, space: LevelSpace, cores: Iterable[CostVector] = (), deadline: float | None = None
     ):
         self.space = space
-        self.cores = [tuple(k) for k in cores]
         self.deadline = deadline
         self.nodes = 0
-        levels = space.levels
-        top = max((ls[-1] for ls in levels), default=0)
-        bottom = min((ls[0] for ls in levels), default=0)
-        self.columns = [[2 * top - bottom + 1] * len(self.cores) for _ in levels]
+        self.insertions = 0
+        self.cores: list[CostVector] = []
         self.witnesses: list[dict[int, int]] = []
         self.masks: list[int] = []
-        above = space.above
-        for c, k in enumerate(self.cores):
-            ws = {}
-            mask = 0
-            for i, v in enumerate(k):
-                wl = above(i, v)
-                if wl is not None:
-                    ws[i] = self.columns[i][c] = wl
-                    mask |= 1 << i
-            self.witnesses.append(ws)
-            self.masks.append(mask)
+        self.columns: list[list[int]] = [[] for _ in space.levels]
+        self._none = 2 * max(space.maximum, default=0) - min(space.baseline, default=0) + 1
+        for k in cores:
+            self._append(tuple(k))
+
+    def _append(self, k: CostVector) -> None:
+        ws = {}
+        for i, (v, column) in enumerate(zip(k, self.columns)):
+            wl = self.space.above(i, v)
+            column.append(self._none if wl is None else wl)
+            if wl is not None:
+                ws[i] = wl
+        self.cores.append(k)
+        self.witnesses.append(ws)
+        self.masks.append(sum(1 << i for i in ws))
+
+    def add(self, k: CostVector) -> bool:
+        """Store ``k`` unless a stored core dominates it, and drop the stored
+        cores it dominates; the rest keep their order and ``k`` goes last.
+        Returns whether ``k`` was stored."""
+        k = tuple(k)
+        if self._unhit(k):
+            return False
+        keep = [c for c, old in enumerate(self.cores) if not all(a <= b for a, b in zip(old, k))]
+        if len(keep) < len(self.cores):
+            self.cores = [self.cores[c] for c in keep]
+            self.witnesses = [self.witnesses[c] for c in keep]
+            self.masks = [self.masks[c] for c in keep]
+            self.columns = [[column[c] for c in keep] for column in self.columns]
+        self._append(k)
+        self.insertions += 1
+        return True
 
     def _check_hittable(self) -> None:
-        for k, ws in zip(self.cores, self.witnesses):
-            if not ws:
-                raise Unhittable(f"core {k} is at the maximum level everywhere")
+        if 0 in self.masks:
+            k = self.cores[self.masks.index(0)]
+            raise Unhittable(f"core {k} is at the maximum level everywhere")
 
     def _unhit(self, h: CostVector) -> list[int]:
         """Indices, ascending, of the cores that dominate ``h``."""

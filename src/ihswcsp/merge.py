@@ -105,6 +105,24 @@ def _merge_group(
     return CostFunction(scope, levels[0], table, levels)
 
 
+def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[int, list[int]]:
+    """Map the index of the smallest cluster (then the lowest index) that
+    contains each function's scope to those functions' indices.  Only the
+    clusters holding the scope's first variable can contain the scope."""
+    cluster_sets = [set(c) for c in clusters]
+    holding: list[list[int]] = [[] for _ in range(w.num_vars)]
+    for ci, c in enumerate(clusters):
+        for x in c:
+            holding[x].append(ci)
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(w.cost_functions):
+        candidates = holding[f.scope[0]] if f.scope else range(len(clusters))
+        scope = set(f.scope)
+        ci = min((len(clusters[ci]), ci) for ci in candidates if scope <= cluster_sets[ci])[1]
+        groups.setdefault(ci, []).append(i)
+    return groups
+
+
 def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
     """Group cost functions by the smallest decomposition cluster containing
     their scope and materialize each multi-function group whose union-scope
@@ -118,17 +136,7 @@ def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
                 edges.add((min(a, b), max(a, b)))
     _, dclusters = min_fill_order(w.num_vars, edges)
 
-    cluster_sets = [set(c) for c in dclusters]
-    groups: dict[int, list[int]] = {}
-    for i, f in enumerate(w.cost_functions):
-        candidates = [
-            (len(dclusters[ci]), ci)
-            for ci, cs in enumerate(cluster_sets)
-            if set(f.scope) <= cs
-        ]
-        ci = min(candidates)[1]
-        groups.setdefault(ci, []).append(i)
-
+    groups = _group_by_cluster(w, dclusters)
     merged_count = 0
     split_count = 0
     final_groups: list[tuple[int, ...]] = []

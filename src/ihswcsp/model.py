@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 CostVector = tuple[int, ...]
 Assignment = tuple[int, ...]
@@ -26,40 +26,6 @@ def dominates(v: CostVector, u: CostVector) -> bool:
 def hits(h: CostVector, cores: Iterable[CostVector]) -> bool:
     """True iff no vector in ``cores`` dominates ``h``."""
     return all(not dominates(k, h) for k in cores)
-
-
-def maximal_subset(vectors: Iterable[CostVector]) -> set[CostVector]:
-    """The members of ``vectors`` not dominated by any other member."""
-    vs = set(vectors)
-    return {u for u in vs if not any(v != u and dominates(v, u) for v in vs)}
-
-
-class CoreSet:
-    """A set of core vectors kept as an antichain under domination.
-
-    Inserting a vector dominated by an existing member is a no-op; inserting
-    a new vector drops the members it dominates.  ``insertions`` counts the
-    vectors actually stored over the set's lifetime.
-    """
-
-    def __init__(self) -> None:
-        self.cores: list[CostVector] = []
-        self.insertions = 0
-
-    def add(self, k: CostVector) -> bool:
-        for c in self.cores:
-            if dominates(c, k):
-                return False
-        self.cores = [c for c in self.cores if not dominates(k, c)]
-        self.cores.append(k)
-        self.insertions += 1
-        return True
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def __iter__(self) -> Iterator[CostVector]:
-        return iter(self.cores)
 
 
 @dataclass(frozen=True)

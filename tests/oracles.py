@@ -13,8 +13,10 @@ import numpy as np
 
 from ihswcsp.model import (
     CostFunction,
+    CostVector,
     HardConstraint,
     WcspInstance,
+    dominates,
     evaluate,
     make_cost_function,
 )
@@ -55,6 +57,12 @@ def random_cnf(rng: random.Random, max_vars: int = 14, max_width: int = 3):
         vs = rng.sample(range(n), width)
         clauses.append([pos(v) if rng.random() < 0.5 else neg(v) for v in vs])
     return n, clauses
+
+
+def maximal_subset(vectors) -> set[CostVector]:
+    """The members of ``vectors`` not dominated by any other member."""
+    vs = set(vectors)
+    return {u for u in vs if not any(v != u and dominates(v, u) for v in vs)}
 
 
 def enumerate_hitting(levels, cores):
@@ -196,3 +204,16 @@ def min_fill_order_slow(num_vertices: int, edges):
         adj[best_v].clear()
         remaining.discard(best_v)
     return order, clusters
+
+
+def group_by_cluster_slow(w: WcspInstance, clusters) -> dict[int, list[int]]:
+    """Reference placement: test every function's scope against every
+    cluster and take the smallest containing one (ties: lowest index)."""
+    cluster_sets = [set(c) for c in clusters]
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(w.cost_functions):
+        candidates = [
+            (len(clusters[ci]), ci) for ci, cs in enumerate(cluster_sets) if set(f.scope) <= cs
+        ]
+        groups.setdefault(min(candidates)[1], []).append(i)
+    return groups

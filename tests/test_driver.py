@@ -8,7 +8,14 @@ from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
 from ihswcsp.improve import improve_core
 from ihswcsp.merge import build_merged
-from ihswcsp.model import CostFunction, HardConstraint, WcspInstance, cost, make_cost_function
+from ihswcsp.model import (
+    CostFunction,
+    HardConstraint,
+    WcspInstance,
+    cost,
+    dominates,
+    make_cost_function,
+)
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
 from oracles import random_tiny_instance
 
@@ -126,6 +133,40 @@ def test_lb_terminal_core_set_proves_optimum():
             space = LevelSpace.from_instance(w)
             proof = min_cost_hv(HittingProblem(space, report.final_cores))
             assert cost(proof) + w.constant_offset == report.optimum
+
+
+def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
+    import ihswcsp.driver as driver
+
+    built = []
+
+    class Recorded(HittingProblem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(driver, "HittingProblem", Recorded)
+    evictions = 0
+    for seed in range(1, 8):
+        w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=seed))
+        for core, disjoint in (("lazy", False), ("lazy", True), ("maximal", False)):
+            built.clear()
+            cfg = SolverConfig(hv="lb", core=core, disjoint=disjoint, keep_cores=True)
+            report = solve(w, cfg)
+            [problem] = built
+            rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
+            for table in ("cores", "witnesses", "masks", "columns"):
+                assert getattr(problem, table) == getattr(rebuilt, table)
+            # the antichain rules, replayed: survivors keep their order
+            expected = []
+            for k in report.inserted_cores:
+                if not any(dominates(c, k) for c in expected):
+                    expected = [c for c in expected if not dominates(k, c)] + [k]
+            assert problem.cores == expected
+            assert problem.insertions == report.core_insertions
+            assert problem.nodes == report.hv_nodes
+            evictions += report.core_insertions - report.core_set_size
+    assert evictions > 0
 
 
 def test_disjoint_phase_extracts_independent_cores():

@@ -131,6 +131,32 @@ def test_randomized_against_enumeration():
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
 
 
+def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
+    levels = [(0, 1, 2, 3)] * 3
+    p = _problem(levels, [])
+    for k in [(1, 0, 3), (0, 2, 0), (2, 1, 0)]:
+        assert p.add(k)
+    assert not p.add((1, 1, 0))  # (2, 1, 0) dominates it
+    assert not p.add((2, 1, 0))  # a duplicate
+    assert p.add((1, 2, 0))  # evicts (0, 2, 0) only
+    assert p.cores == [(1, 0, 3), (2, 1, 0), (1, 2, 0)]
+    assert p.insertions == 4
+    rebuilt = _problem(levels, p.cores)
+    for table in ("cores", "witnesses", "masks", "columns"):
+        assert getattr(p, table) == getattr(rebuilt, table)
+    assert min_cost_hv(p) == min_cost_hv(rebuilt) == enumerate_hitting(levels, p.cores)[1]
+    assert p.add((3, 3, 3))  # dominates every core; the search, not add, refuses it
+    assert p.cores == [(3, 3, 3)] and p.columns == [[p._none]] * 3
+    with pytest.raises(Unhittable):
+        min_cost_hv(p)
+
+
+def test_constructor_stores_cores_as_given():
+    p = _problem([(0, 1, 2)] * 2, [(1, 1), (0, 1), (1, 1)])
+    assert p.cores == [(1, 1), (0, 1), (1, 1)]
+    assert p.insertions == 0
+
+
 def test_deep_search_needs_no_recursion():
     n = 1200
     p = _singletons(n)

@@ -3,10 +3,15 @@ import random
 
 import pytest
 
-from ihswcsp.merge import _merge_group, build_merged, min_fill_order
-from ihswcsp.model import WcspInstance, evaluate, make_cost_function
-from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_uniform
-from oracles import merge_group_slow, min_fill_order_slow, random_tiny_instance
+from ihswcsp.merge import _group_by_cluster, _merge_group, build_merged, min_fill_order
+from ihswcsp.model import CostFunction, WcspInstance, evaluate, make_cost_function
+from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
+from oracles import (
+    group_by_cluster_slow,
+    merge_group_slow,
+    min_fill_order_slow,
+    random_tiny_instance,
+)
 
 
 def test_min_fill_triangle():
@@ -39,6 +44,40 @@ def test_min_fill_matches_quadratic_reference():
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
         rng.shuffle(edges)
         assert min_fill_order(n, edges) == min_fill_order_slow(n, edges)
+
+
+def _scope_edges(w):
+    return [(a, b) for f in w.cost_functions for a in f.scope for b in f.scope if a < b]
+
+
+def test_group_by_cluster_matches_all_clusters_scan():
+    rng = random.Random(31)
+    constant = CostFunction((), 2, {}, (2,))  # an empty scope fits every cluster
+    for trial in range(120):
+        if trial % 3 == 0:
+            w = random_tiny_instance(rng, max_vars=6, max_funcs=6)
+        else:
+            gen = gen_uniform if trial % 3 == 1 else gen_scale_free
+            n = rng.randint(4, 30)
+            p = GeneratorParams(n, 2, rng.randint(1, min(40, n - 1)), 1, 1, trial)
+            w = gen(p)
+        if trial % 5 == 0:
+            funcs = list(w.cost_functions)
+            funcs.insert(rng.randint(0, len(funcs)), constant)
+            w = WcspInstance(w.name, w.domains, (), tuple(funcs), w.top)
+        # extra edges widen and overlap the clusters beyond the scopes
+        extra = [tuple(rng.sample(range(w.num_vars), 2)) for _ in range(w.num_vars // 4)]
+        edges = _scope_edges(w) + [e for e in extra if e[0] != e[1]]
+        _, clusters = min_fill_order(w.num_vars, edges)
+        assert _group_by_cluster(w, clusters) == group_by_cluster_slow(w, clusters)
+
+
+def test_group_by_cluster_without_clusters_fails_like_the_scan():
+    w = WcspInstance("none", (), (), (CostFunction((), 2, {}, (2,)),), 10)
+    with pytest.raises(ValueError):
+        group_by_cluster_slow(w, [])
+    with pytest.raises(ValueError):
+        _group_by_cluster(w, [])
 
 
 def test_merge_two_functions_on_same_scope():

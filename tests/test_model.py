@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ihswcsp.hitting import HittingProblem
 from ihswcsp.model import (
-    CoreSet,
     CostFunction,
     HardConstraint,
     LevelSpace,
@@ -15,8 +15,8 @@ from ihswcsp.model import (
     evaluate,
     hits,
     make_cost_function,
-    maximal_subset,
 )
+from oracles import maximal_subset
 
 
 def test_cost():
@@ -80,10 +80,10 @@ def test_hits_matches_domination_definition(data):
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
 def test_core_set_is_maximal_antichain(vectors):
-    cs = CoreSet()
+    cs = HittingProblem(LevelSpace([(0, 1, 2, 3)] * 2))
     for v in vectors:
         cs.add(v)
-    stored = list(cs)
+    stored = list(cs.cores)
     assert set(stored) == maximal_subset(vectors)
     for a in stored:
         for b in stored:
@@ -92,12 +92,12 @@ def test_core_set_is_maximal_antichain(vectors):
 
 
 def test_core_set_insert_rules():
-    cs = CoreSet()
+    cs = HittingProblem(LevelSpace([(0, 1, 2)] * 2))
     assert cs.add((1, 1))
     assert not cs.add((1, 1))  # duplicate
     assert not cs.add((0, 1))  # dominated
     assert cs.add((2, 2))  # dominates and evicts (1, 1)
-    assert list(cs) == [(2, 2)]
+    assert cs.cores == [(2, 2)]
     assert cs.insertions == 2
 
 
