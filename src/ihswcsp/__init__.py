@@ -1,6 +1,6 @@
 """Implicit-hitting-set solving for weighted CSPs."""
 
-from .driver import IterationCapExceeded, RunReport, SolverConfig, solve
+from .driver import RunReport, SolverConfig, solve
 from .encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import ImproveOutcome, improve_core
@@ -39,7 +39,6 @@ __all__ = [
     "HittingProblem",
     "ImproveOutcome",
     "InducedCspEncoding",
-    "IterationCapExceeded",
     "LevelSpace",
     "MergedProblem",
     "RunReport",

@@ -16,13 +16,9 @@ from .driver import HV_STRATEGIES, RunReport, SolverConfig, solve
 from .improve import STRATEGIES as CORE_STRATEGIES
 from .wcsp_io import GeneratorParams, gen_scale_free, gen_uniform, parse_wcsp, write_wcsp
 
-# the run's configuration, then the keys of _report_fields, then the error
-CSV_FIELDS = [
-    "instance",
-    "hv",
-    "core",
-    "merge",
-    "disjoint",
+# the RunReport fields that solve prints and bench writes, in order: lb and ub
+# are final_lb and final_ub, and each *_time_ms column is *_time in milliseconds
+REPORT_COLUMNS = (
     "status",
     "optimum",
     "lb",
@@ -42,10 +38,11 @@ CSV_FIELDS = [
     "merge_time_ms",
     "encode_time_ms",
     "total_time_ms",
-    "error",
-]
+)
+CONFIG_COLUMNS = ("instance", "hv", "core", "merge", "disjoint")
+CSV_FIELDS = [*CONFIG_COLUMNS, *REPORT_COLUMNS, "error"]
 # the columns render_table reads; older CSVs with other columns still load
-TABLE_FIELDS = ["instance", "hv", "core", "merge", "disjoint", "status", "core_set_size", "total_time_ms"]
+TABLE_FIELDS = [*CONFIG_COLUMNS, "status", "core_set_size", "total_time_ms"]
 
 
 def _onoff(value: str) -> bool:
@@ -103,12 +100,7 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cfg = SolverConfig(
-        hv=args.hv,
-        core=args.core,
-        merge=args.merge,
-        disjoint=args.disjoint,
-        merge_cap=args.merge_cap,
-        time_limit=args.timeout,
+        hv=args.hv, core=args.core, merge=args.merge, disjoint=args.disjoint, **_limits(args)
     )
     try:
         report = solve(instance, cfg)
@@ -120,31 +112,20 @@ def _cmd_solve(args) -> int:
     return {"optimal": 0, "timeout": 2, "infeasible": 3}[report.status]
 
 
-def _report_fields(report: RunReport) -> dict[str, object]:
-    def fmt(x):
-        return "" if x is None else x
+def _limits(args) -> dict[str, float]:
+    """The SolverConfig fields that solve and bench take from their options."""
+    return {"merge_cap": args.merge_cap, "time_limit": args.timeout}
 
-    return {
-        "status": report.status,
-        "optimum": fmt(report.optimum),
-        "lb": fmt(report.final_lb),
-        "ub": fmt(report.final_ub),
-        "iterations": report.iterations,
-        "hv_calls": report.hv_calls,
-        "hv_nodes": report.hv_nodes,
-        "sat_calls": report.sat_calls,
-        "sat_conflicts": report.sat_conflicts,
-        "improve_probes": report.improve_probes,
-        "exact_fallbacks": report.exact_fallbacks,
-        "core_set_size": report.core_set_size,
-        "components": report.components,
-        "hv_time_ms": round(report.hv_time * 1000),
-        "sat_time_ms": round(report.sat_time * 1000),
-        "improve_time_ms": round(report.improve_time * 1000),
-        "merge_time_ms": round(report.merge_time * 1000),
-        "encode_time_ms": round(report.encode_time * 1000),
-        "total_time_ms": round(report.total_time * 1000),
-    }
+
+def _report_fields(report: RunReport) -> dict[str, object]:
+    fields: dict[str, object] = {}
+    for column in REPORT_COLUMNS:
+        attr = {"lb": "final_lb", "ub": "final_ub"}.get(column, column.removesuffix("_ms"))
+        value = getattr(report, attr)
+        if column.endswith("_ms"):
+            value = round(value * 1000)
+        fields[column] = "" if value is None else value
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +164,9 @@ def _cmd_generate(args) -> int:
 # bench
 
 
-def parse_matrix(spec: str | None) -> list[tuple[str, str, bool, bool]]:
+def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
+    """The configurations of a ``--matrix`` spec (default: all 32 with
+    disjoint off), each built with ``limits`` and validated."""
     dims: dict[str, list[str]] = {
         "hv": list(HV_STRATEGIES),
         "core": list(CORE_STRATEGIES),
@@ -199,45 +182,33 @@ def parse_matrix(spec: str | None) -> list[tuple[str, str, bool, bool]]:
             if key not in dims:
                 raise ValueError(f"unknown matrix dimension {key!r}")
             dims[key] = [v.strip() for v in values.split(",") if v.strip()]
-    for hv in dims["hv"]:
-        if hv not in HV_STRATEGIES:
-            raise ValueError(f"unknown hv strategy {hv!r}")
-    for core in dims["core"]:
-        if core not in CORE_STRATEGIES:
-            raise ValueError(f"unknown core strategy {core!r}")
     for key in ("merge", "disjoint"):
         for v in dims[key]:
             if v not in ("on", "off"):
                 raise ValueError(f"{key} must be on or off, got {v!r}")
-    return [
-        (hv, core, merge == "on", disjoint == "on")
+    configs = [
+        SolverConfig(hv=hv, core=core, merge=merge == "on", disjoint=disjoint == "on", **limits)
         for hv in dims["hv"]
         for core in dims["core"]
         for merge in dims["merge"]
         for disjoint in dims["disjoint"]
     ]
+    for cfg in configs:
+        cfg.validate()
+    return configs
 
 
-def _bench_one(task: tuple) -> dict[str, object]:
-    path, hv, core, merge, disjoint, merge_cap, timeout = task
+def _bench_one(task: tuple[str, SolverConfig]) -> dict[str, object]:
+    path, cfg = task
     row: dict[str, object] = {
         "instance": Path(path).stem,
-        "hv": hv,
-        "core": core,
-        "merge": "on" if merge else "off",
-        "disjoint": "on" if disjoint else "off",
+        "hv": cfg.hv,
+        "core": cfg.core,
+        "merge": "on" if cfg.merge else "off",
+        "disjoint": "on" if cfg.disjoint else "off",
     }
     try:
-        instance = parse_wcsp(Path(path).read_text())
-        cfg = SolverConfig(
-            hv=hv,
-            core=core,
-            merge=merge,
-            disjoint=disjoint,
-            merge_cap=merge_cap,
-            time_limit=timeout,
-        )
-        report = solve(instance, cfg)
+        report = solve(parse_wcsp(Path(path).read_text()), cfg)
     except Exception as exc:  # noqa: BLE001 - a failed run must not abort the batch
         row.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return row
@@ -258,15 +229,11 @@ def _cmd_bench(args) -> int:
         print(f"error: no .wcsp files under {root}", file=sys.stderr)
         return 1
     try:
-        matrix = parse_matrix(args.matrix)
+        matrix = parse_matrix(args.matrix, **_limits(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tasks = [
-        (path, hv, core, merge, disjoint, args.merge_cap, args.timeout)
-        for path in paths
-        for hv, core, merge, disjoint in matrix
-    ]
+    tasks = [(path, cfg) for path in paths for cfg in matrix]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.map(_bench_one, tasks)

@@ -195,70 +195,64 @@ def write_wcsp(w: WcspInstance) -> str:
 # random families
 
 
-def _fill_function(
-    rng: random.Random, scope: tuple[int, ...], d: int, w: int, t: int
-) -> tuple[dict[tuple[int, ...], int], int]:
+def _fill_function(rng: random.Random, d: int, w: int, t: int) -> dict[tuple[int, ...], int]:
     """Draw t distinct nonzero-cost tuples with costs from a palette of w
-    distinct weights sampled from [1, 10w]; returns (table, max_cost)."""
+    distinct weights sampled from [1, 10w]."""
     palette = rng.sample(range(1, 10 * w + 1), w)
     cells = list(itertools.product(range(d), repeat=2))
     chosen = rng.sample(cells, t)
-    table = {cell: rng.choice(palette) for cell in chosen}
-    return table, max(table.values())
+    return {cell: rng.choice(palette) for cell in chosen}
 
 
-def gen_uniform(p: GeneratorParams) -> WcspInstance:
-    """Uniform random binary WCSP with ``m`` distinct scopes out of n(n-1)/2."""
+def _random_binary(p: GeneratorParams, family: str, draw_scopes) -> WcspInstance:
+    """The families' shared checks and tail: ``draw_scopes(rng)`` checks the
+    family's own parameters and draws the binary scopes, then each scope's
+    table is drawn from the same PRNG and ``top`` exceeds every total cost."""
     if min(p.n, p.d, p.m, p.w, p.t) < 1:
         raise ValueError("all generator parameters must be positive")
     if p.t > p.d * p.d:
         raise ValueError("t exceeds the d*d tuple space")
-    if p.m > p.n * (p.n - 1) // 2:
-        raise ValueError("m exceeds the number of distinct binary scopes")
     rng = random.Random(p.seed)
-    pairs = [(i, j) for i in range(p.n) for j in range(i + 1, p.n)]
-    scopes = rng.sample(pairs, p.m)
-    tables = [_fill_function(rng, s, p.d, p.w, p.t) for s in scopes]
-    top = sum(mx for _, mx in tables) + 1
+    scopes = draw_scopes(rng)
+    tables = [_fill_function(rng, p.d, p.w, p.t) for _ in scopes]
+    top = sum(max(table.values()) for table in tables) + 1
     domains = (p.d,) * p.n
-    funcs = []
-    for scope, (table, _) in zip(scopes, tables):
-        f = make_cost_function(scope, 0, table, domains)
-        assert f is not None
-        funcs.append(f)
-    return WcspInstance(f"uniform_{p.seed}", domains, (), tuple(funcs), top)
+    funcs = tuple(make_cost_function(s, 0, table, domains) for s, table in zip(scopes, tables))
+    return WcspInstance(f"{family}_{p.seed}", domains, (), funcs, top)
+
+
+def gen_uniform(p: GeneratorParams) -> WcspInstance:
+    """Uniform random binary WCSP with ``m`` distinct scopes out of n(n-1)/2."""
+
+    def scopes(rng: random.Random) -> list[tuple[int, int]]:
+        if p.m > p.n * (p.n - 1) // 2:
+            raise ValueError("m exceeds the number of distinct binary scopes")
+        return rng.sample([(i, j) for i in range(p.n) for j in range(i + 1, p.n)], p.m)
+
+    return _random_binary(p, "uniform", scopes)
 
 
 def gen_scale_free(p: GeneratorParams) -> WcspInstance:
     """Binary WCSP whose constraint graph grows by preferential attachment:
     a clique on m+1 vertices, then each vertex attaches to m distinct
     existing vertices chosen proportionally to degree."""
-    if min(p.n, p.d, p.m, p.w, p.t) < 1:
-        raise ValueError("all generator parameters must be positive")
-    if p.t > p.d * p.d:
-        raise ValueError("t exceeds the d*d tuple space")
-    if p.m >= p.n:
-        raise ValueError("scale-free attachment parameter must satisfy m < n")
-    rng = random.Random(p.seed)
-    edges = [(i, j) for i in range(p.m + 1) for j in range(i + 1, p.m + 1)]
-    repeated: list[int] = [v for v in range(p.m + 1) for _ in range(p.m)]
-    for v in range(p.m + 1, p.n):
-        targets: set[int] = set()
-        while len(targets) < p.m:
-            targets.add(rng.choice(repeated))
-        for u in sorted(targets):
-            edges.append((u, v))
-            repeated.append(u)
-        repeated.extend([v] * p.m)
-    tables = [_fill_function(rng, e, p.d, p.w, p.t) for e in edges]
-    top = sum(mx for _, mx in tables) + 1
-    domains = (p.d,) * p.n
-    funcs = []
-    for scope, (table, _) in zip(edges, tables):
-        f = make_cost_function(scope, 0, table, domains)
-        assert f is not None
-        funcs.append(f)
-    return WcspInstance(f"scale-free_{p.seed}", domains, (), tuple(funcs), top)
+
+    def scopes(rng: random.Random) -> list[tuple[int, int]]:
+        if p.m >= p.n:
+            raise ValueError("scale-free attachment parameter must satisfy m < n")
+        edges = [(i, j) for i in range(p.m + 1) for j in range(i + 1, p.m + 1)]
+        repeated = [v for v in range(p.m + 1) for _ in range(p.m)]
+        for v in range(p.m + 1, p.n):
+            targets: set[int] = set()
+            while len(targets) < p.m:
+                targets.add(rng.choice(repeated))
+            for u in sorted(targets):
+                edges.append((u, v))
+                repeated.append(u)
+            repeated.extend([v] * p.m)
+        return edges
+
+    return _random_binary(p, "scale-free", scopes)
 
 
 # ---------------------------------------------------------------------------

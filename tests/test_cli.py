@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from ihswcsp.cli import main, parse_matrix, render_table
+from ihswcsp.driver import SolverConfig
 from ihswcsp.wcsp_io import write_wcsp
 
 TOY = "toy 1 1 1 10\n1\n1 0 0 1\n0 2\n"  # single cell costing 2
@@ -74,12 +75,36 @@ def test_generate_count_zero(tmp_path):
 
 def test_parse_matrix_full_and_restricted():
     assert len(parse_matrix(None)) == 32
-    got = parse_matrix("hv=lb,ub;core=maximal;merge=on")
-    assert got == [("lb", "maximal", True, False), ("ub", "maximal", True, False)]
+    got = parse_matrix("hv=lb,ub;core=maximal;merge=on", merge_cap=8, time_limit=5.0)
+    assert got == [
+        SolverConfig(hv="lb", core="maximal", merge=True, merge_cap=8, time_limit=5.0),
+        SolverConfig(hv="ub", core="maximal", merge=True, merge_cap=8, time_limit=5.0),
+    ]
     with pytest.raises(ValueError):
         parse_matrix("hv=warp")
     with pytest.raises(ValueError):
+        parse_matrix("core=warp")
+    with pytest.raises(ValueError):
         parse_matrix("speed=high")
+
+
+# the bench CSV header and the keys solve prints, in order, as released
+PINNED_CSV_HEADER = (
+    "instance,hv,core,merge,disjoint,status,optimum,lb,ub,iterations,hv_calls,hv_nodes,"
+    "sat_calls,sat_conflicts,improve_probes,exact_fallbacks,core_set_size,components,"
+    "hv_time_ms,sat_time_ms,improve_time_ms,merge_time_ms,encode_time_ms,total_time_ms,error"
+)
+
+
+def test_report_columns_are_pinned(toy_path, tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    assert main(["bench", "--instance", str(toy_path), "--out", str(out_csv),
+                 "--matrix", "hv=lb;core=lazy;merge=off"]) == 0
+    assert out_csv.read_text().splitlines()[0] == PINNED_CSV_HEADER
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(toy_path)]) == 0
+    keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == PINNED_CSV_HEADER.split(",")[5:-1]
 
 
 def test_bench_and_table_pipeline(tmp_path, capsys):

@@ -3,10 +3,9 @@ import time
 
 import pytest
 
-from ihswcsp.driver import IterationCapExceeded, SolverConfig, disjoint_core_phase, solve
-from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
+from ihswcsp.driver import SolverConfig, solve
+from ihswcsp.encoding import InducedCspEncoding, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
-from ihswcsp.improve import improve_core
 from ihswcsp.merge import build_merged
 from ihswcsp.model import (
     CostFunction,
@@ -178,28 +177,73 @@ def test_disjoint_phase_extracts_independent_cores():
     assert report.iterations < 3 or report.core_insertions > report.iterations - 1
 
 
-def test_disjoint_phase_standalone():
+def test_disjoint_phase_adds_disjoint_cores_in_first_iteration():
     w = _two_conflicts_instance()
-    enc = InducedCspEncoding(w)
-    res = enc.solve_induced((0, 0))
-    assert isinstance(res, Unsatisfiable)
-    out = improve_core("maximal", res.lazy_core, None, enc)
-    *extras, last = disjoint_core_phase((0, 0), out.core, enc, "maximal", limit=10)
-    assert len(extras) == 1
+    report = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True, keep_cores=True))
+    # the first iteration inserts both cores; the second one is satisfiable
+    assert report.iterations == 2 and report.bounds_trace[-1] == (2, 2)
+    first, second = report.inserted_cores
+    top = LevelSpace.from_instance(w).maximum
+    active = [{i for i in range(len(k)) if k[i] < top[i]} for k in (first, second)]
+    assert active[0] and active[1] and not active[0] & active[1]
     fresh = InducedCspEncoding(w)
-    for outcome in extras:
-        assert isinstance(fresh.solve_induced(outcome.core), Unsatisfiable)
-    # both conflicts are covered, so the closing probe is satisfiable
-    assert isinstance(last, Satisfiable)
-    assert list(disjoint_core_phase((0, 0), out.core, enc, "maximal", limit=0)) == []
+    for k in (first, second):
+        assert isinstance(fresh.solve_induced(k), Unsatisfiable)
+    without = solve(w, SolverConfig(hv="lb", core="maximal", keep_cores=True))
+    assert without.iterations == 3
 
 
 def test_single_conflict_instance_yields_no_extras():
     w = _forced_instance()
-    enc = InducedCspEncoding(w)
-    out = improve_core("maximal", enc.solve_induced((0,)).lazy_core, None, enc)
-    found = list(disjoint_core_phase((0,), out.core, enc, "maximal", limit=10))
-    assert len(found) == 1 and isinstance(found[0], Satisfiable)
+    on = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True, keep_cores=True))
+    off = solve(w, SolverConfig(hv="lb", core="maximal", keep_cores=True))
+    assert on.inserted_cores == off.inserted_cores == [(1,)]
+    # the phase's only probe is the satisfiable one that ends it
+    assert on.improve_probes == off.improve_probes + 1
+
+
+def test_disjoint_phase_probes_at_most_one_per_component(monkeypatch):
+    import ihswcsp.driver as driver
+
+    phases: list[int] = []  # non-improvement probes of each disjoint phase
+    inside = {"phase": False, "improve": False}
+    inner_phase, inner_improve = driver._Run.disjoint_phase, driver.improve_core
+    inner_solve = InducedCspEncoding.solve_induced
+
+    def phase(self, h, k):
+        phases.append(0)
+        inside["phase"] = True
+        try:
+            return inner_phase(self, h, k)
+        finally:
+            inside["phase"] = False
+
+    def improve(*args):
+        inside["improve"] = True
+        try:
+            return inner_improve(*args)
+        finally:
+            inside["improve"] = False
+
+    def solve_induced(self, vector):
+        if inside["phase"] and not inside["improve"]:
+            phases[-1] += 1
+        return inner_solve(self, vector)
+
+    monkeypatch.setattr(driver._Run, "disjoint_phase", phase)
+    monkeypatch.setattr(driver, "improve_core", improve)
+    monkeypatch.setattr(InducedCspEncoding, "solve_induced", solve_induced)
+    rng = random.Random(27)
+    longest = 0
+    for _ in range(12):
+        w = random_tiny_instance(rng)
+        for hv in ALL_HV:
+            for core in ALL_CORE:
+                phases.clear()
+                report = solve(w, SolverConfig(hv=hv, core=core, disjoint=True))
+                assert all(1 <= n <= report.components for n in phases), (hv, core, phases)
+                longest = max([longest, *phases])
+    assert longest > 1  # some phase went past its first probe
 
 
 def test_sat_time_bills_improvement_and_disjoint_probes(monkeypatch):
@@ -240,12 +284,6 @@ def test_deadline_holds_in_ub_mode():
     report = solve(w, SolverConfig(hv="ub", core="maximal", time_limit=2))
     assert report.status == "timeout"
     assert report.total_time < 2.5
-
-
-def test_iteration_cap_raises():
-    w = _forced_instance()
-    with pytest.raises(IterationCapExceeded):
-        solve(w, SolverConfig(hv="lb", core="lazy", iteration_cap=1))
 
 
 def test_determinism_of_counters():

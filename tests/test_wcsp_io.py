@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -203,6 +204,26 @@ def test_generators_deterministic():
     assert write_wcsp(gen_uniform(p)) != write_wcsp(
         gen_uniform(GeneratorParams(8, 3, 6, 2, 4, seed=124))
     )
+
+
+# (family, GeneratorParams fields, sha256 of write_wcsp's output); the
+# benchmark's instances come from these generators, so any drift in the PRNG
+# draw order or the output shows up here
+PINNED_FILES = [
+    ("uniform", (6, 2, 5, 2, 3, 11), "4c31c1681438420d486331aab12d2da52eeb7f72a85021cc62f161853ea216fa"),
+    ("uniform", (12, 3, 24, 4, 6, 3), "2bae756900baa3a9ae798e8f852c111af7b81f8c19a1135645f0562f390623a0"),
+    ("uniform", (10, 4, 20, 6, 10, 7), "45144a4b786394789ca3eff28210873a3d466148ba5aa53da9d6eb4b1d0f0ed7"),
+    ("scale-free", (6, 2, 2, 1, 2, 0), "ef6085399845002214da1966bdd09d2d9abc7e3d6431b0804ce63c63191aaeb5"),
+    ("scale-free", (15, 5, 2, 6, 10, 2), "7f0a3a9ea4355b237b46819d6a311db28f2526f692b8828ba7b4ce1d7488201d"),
+    ("scale-free", (30, 3, 3, 2, 9, 5), "728783f480d551bfa2456fc88dc1d5f81eebf4d4b5428d1b1d43193793c27db4"),
+]
+
+
+@pytest.mark.parametrize("family, params, digest", PINNED_FILES)
+def test_generated_files_are_pinned(family, params, digest):
+    gen = gen_uniform if family == "uniform" else gen_scale_free
+    text = write_wcsp(gen(GeneratorParams(*params)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_brute_force_trivia():
