@@ -6,6 +6,18 @@ level", chained toward looser bounds so every costed tuple is forbidden by a
 single clause anchored at the level just below its own cost.  Solving the CSP
 induced by a cost vector is then a single assumption-based SAT call, and the
 failed assumptions map directly to a lazy core.
+
+Every clause built here is already clean, so it skips ``Solver.add_clause``'s
+checks (dedupe, sort, tautology scan, root values).  ``WcspInstance`` rejects
+a repeated scope variable, so no clause repeats a variable: it has no
+duplicate literal and is no tautology.  Selector variables are created after
+every value variable, so a forbid clause is sorted as built when its scope
+ascends (merged scopes always do); other scopes are sorted here.  While the
+solver is consistent and its root trail is empty, ``add_clause`` would store
+such a clause of two or more literals exactly as given, with the same watches,
+so it is stored directly.  A unit clause (a domain of one value, a unary hard
+constraint, an empty scope) and every clause after one still go through
+``add_clause``, which simplifies them against the root values.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
-from .sat import Solver, pos
+from .sat import Clause, Solver, pos
 
 
 @dataclass(frozen=True)
@@ -55,39 +67,56 @@ class InducedCspEncoding:
         for d in instance.domains:
             lits = [pos(solver.new_var()) for _ in range(d)]
             self.value_lit.append(lits)
-            solver.add_clause(lits)
-            for a in range(d):
-                for b in range(a + 1, d):
-                    solver.add_clause([lits[a] ^ 1, lits[b] ^ 1])
+            self._add([lits, *([a ^ 1, b ^ 1] for a, b in itertools.combinations(lits, 2))])
 
         for hc in instance.hard_constraints:
-            for t in sorted(hc.forbidden):
-                solver.add_clause(
-                    [self.value_lit[x][a] ^ 1 for x, a in zip(hc.scope, t)]
-                )
+            self._add(self._forbidding(hc.scope, ((t, None) for t in sorted(hc.forbidden))))
 
         self.sel: list[list[int]] = []
         for i, f in enumerate(instance.cost_functions):
             sels = [pos(solver.new_var()) for _ in f.levels]
-            for j in range(len(sels) - 1):
-                solver.add_clause([sels[j] ^ 1, sels[j + 1]])
+            self._add([a ^ 1, b] for a, b in zip(sels, sels[1:]))
             self.sel.append(sels)
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
-            for t, c in sorted(f.explicit.items()):
-                if c > base:
-                    self._forbid(f.scope, t, below[c])
+            explicit = sorted(f.explicit.items())
+            self._add(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
             ranges = [range(instance.domains[x]) for x in f.scope]
-            # a full table has no unlisted tuple to enumerate
+            # a full table has no unlisted tuple to enumerate; the others are
+            # streamed, never held as a list
             if f.default_cost > base and len(f.explicit) < prod(map(len, ranges)):
-                unlisted = [t for t in itertools.product(*ranges) if t not in f.explicit]
-                j = space.index(i, f.default_cost)
-                for t in unlisted:
-                    self._forbid(f.scope, t, sels[j - 1])
+                sel = sels[space.index(i, f.default_cost) - 1]
+                unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
+                self._add(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
 
-    def _forbid(self, scope, t, sel_lit) -> None:
-        value_lit = self.value_lit
-        self.solver.add_clause([sel_lit ^ 1] + [value_lit[x][a] ^ 1 for x, a in zip(scope, t)])
+    def _add(self, clauses) -> None:
+        """Add clauses whose literals are sorted, on distinct variables:
+        directly while the solver is consistent, its root trail is empty and
+        the clause has two literals or more, else through ``add_clause``."""
+        solver = self.solver
+        stored, watches = solver.clauses, solver.watches
+        for lits in clauses:
+            if solver.trail or not solver.ok or len(lits) < 2:
+                solver.add_clause(lits)
+                continue
+            c = Clause(lits)
+            stored.append(c)
+            watches[c[0] ^ 1].append(c)
+            watches[c[1] ^ 1].append(c)
+
+    def _forbidding(self, scope, pairs):
+        """Yield, for each ``(t, sel)`` of ``pairs``, the sorted clause that
+        forbids tuple ``t`` over ``scope`` while the selector ``sel`` holds
+        (always, if ``sel`` is None).  Selector variables are created after
+        every value variable, so ``sel ^ 1`` sorts last, and an ascending
+        scope (every merged scope is one) needs no sort."""
+        negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in scope]
+        ascending = list(scope) == sorted(scope)
+        for t, sel in pairs:
+            lits = [n[a] for n, a in zip(negs, t)]
+            if sel is not None:
+                lits.append(sel ^ 1)
+            yield lits if ascending else sorted(lits)
 
     # -- queries ---------------------------------------------------------------
 

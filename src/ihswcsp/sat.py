@@ -6,6 +6,13 @@ activity-based reduction of the learnt-clause database.  Assumptions are
 enqueued as decisions in list order; on UNSAT the failed subset is extracted
 by final-conflict analysis over the trail (sufficient, not minimized).
 
+Values live in a per-literal table, ``val[lit]``: 1 true, 0 false, 2
+unassigned, so propagation reads a literal's value with one index and no
+arithmetic.  The watch scheme follows MiniSat (Eén & Sörensson, SAT 2003).
+Clause layout (literal order, watch lists) and the search (trail order,
+reasons, learnt clauses) are pinned by seeded digests in the tests, and the
+value table left them unchanged.
+
 Warm calls are cheap: a call that meets no conflict returns with its
 assumption levels still on the trail, and the next call backjumps only to the
 longest prefix its assumptions share with them (Hickey & Bacchus, SAT 2019).
@@ -67,7 +74,7 @@ class Solver:
         self.clauses: list[Clause] = []
         self.learnts: list[Learnt] = []
         self.watches: list[list[Clause]] = []
-        self.assign: list[int] = []  # -1 unassigned, 0 false, 1 true
+        self.val: list[int] = []  # per literal: 1 true, 0 false, 2 unassigned
         self.level: list[int] = []
         self.reason: list[Clause | None] = []
         self.polarity: list[int] = []
@@ -91,7 +98,7 @@ class Solver:
         self.num_vars += 1
         self.watches.append([])
         self.watches.append([])
-        self.assign.append(-1)
+        self.val += (2, 2)
         self.level.append(0)
         self.reason.append(None)
         self.polarity.append(0)
@@ -122,10 +129,10 @@ class Solver:
             if b == a ^ 1:
                 return  # tautology
         if self.trail:
-            vals = [self.assign[l >> 1] ^ (l & 1) for l in out]
+            vals = [self.val[l] for l in out]
             if 1 in vals:
                 return  # satisfied at root level
-            out = [l for l, val in zip(out, vals) if val < 0]  # drop false literals
+            out = [l for l, val in zip(out, vals) if val == 2]  # drop false literals
         if not out:
             self.ok = False
             return
@@ -143,7 +150,8 @@ class Solver:
 
     def _enqueue(self, lit: int, reason: Clause | None) -> None:
         v = lit >> 1
-        self.assign[v] = (lit & 1) ^ 1
+        self.val[lit] = 1
+        self.val[lit ^ 1] = 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -152,16 +160,18 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        trail, assign, in_heap = self.trail, self.assign, self.in_heap
-        for idx in range(len(trail) - 1, bound - 1, -1):
-            l = trail[idx]
+        trail, val, in_heap = self.trail, self.val, self.in_heap
+        polarity, reason, heap, activity = self.polarity, self.reason, self.heap, self.activity
+        # any order will do: the heap pops its entries in an order that
+        # depends only on which entries it holds
+        for l in trail[bound:]:
             v = l >> 1
-            self.polarity[v] = assign[v]
-            assign[v] = -1
-            self.reason[v] = None
+            polarity[v] = (l & 1) ^ 1
+            val[l] = val[l ^ 1] = 2
+            reason[v] = None
             if not in_heap[v]:
                 in_heap[v] = 1
-                heappush(self.heap, (-self.activity[v], v))
+                heappush(heap, (-activity[v], v))
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -169,56 +179,50 @@ class Solver:
     # -- propagation -----------------------------------------------------------
 
     def propagate(self) -> Clause | None:
-        assign, watches, trail = self.assign, self.watches, self.trail
+        val, watches, trail = self.val, self.watches, self.trail
         level, reason = self.level, self.reason
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            level_now = len(self.trail_lim)
+        level_now = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             false_lit = p ^ 1
             ws = watches[p]
-            i = j = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                c = ws[i]
-                i += 1
-                if c[0] == false_lit:
-                    c[0] = c[1]
-                    c[1] = false_lit
+            j = 0
+            for i, c in enumerate(ws):
                 first = c[0]
-                fv = assign[first >> 1] ^ (first & 1)
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                fv = val[first]
                 if fv == 1:
                     ws[j] = c
                     j += 1
                     continue
-                # look for a non-false replacement watch
-                moved = False
+                # look for a non-false replacement watch; it is never
+                # false_lit, so ws itself does not grow
                 for k in range(2, len(c)):
                     lk = c[k]
-                    if (assign[lk >> 1] ^ (lk & 1)) != 0:
+                    if val[lk]:
                         c[1] = lk
                         c[k] = false_lit
                         watches[lk ^ 1].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if fv == 0:
-                    while i < n_ws:  # conflict: keep remaining watches intact
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(trail)
-                    return c
-                v = first >> 1
-                assign[v] = (first & 1) ^ 1
-                level[v] = level_now
-                reason[v] = c
-                trail.append(first)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if fv == 0:  # conflict: keep the remaining watches intact
+                        del ws[j : i + 1]
+                        self.qhead = len(trail)
+                        return c
+                    val[first] = 1
+                    val[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = level_now
+                    reason[v] = c
+                    trail.append(first)
             del ws[j:]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis -----------------------------------------------------
@@ -235,8 +239,8 @@ class Solver:
     def _rescale_var_activity(self) -> None:
         self.activity = [a * 1e-100 for a in self.activity]
         self.var_inc *= 1e-100
-        self.in_heap = bytearray(x < 0 for x in self.assign)
-        self.heap = [(-self.activity[v], v) for v in range(self.num_vars) if self.assign[v] < 0]
+        self.in_heap = bytearray(x == 2 for x in self.val[::2])
+        self.heap = [(-self.activity[v], v) for v in range(self.num_vars) if self.in_heap[v]]
         heapify(self.heap)
 
     def _bump_cla(self, c: Clause) -> None:
@@ -365,12 +369,12 @@ class Solver:
         self.learnts = kept
 
     def _pick_branch(self) -> int:
-        heap, assign, activity, in_heap = self.heap, self.assign, self.activity, self.in_heap
+        heap, val, activity, in_heap = self.heap, self.val, self.activity, self.in_heap
         while heap:
             key, v = heappop(heap)
             if key == -activity[v]:  # v's current entry, not a stale one
                 in_heap[v] = 0
-            if assign[v] < 0:
+            if val[v << 1] == 2:
                 return (v << 1) | (self.polarity[v] ^ 1)
         return -1
 
@@ -418,7 +422,7 @@ class Solver:
             dl = len(self.trail_lim)
             if dl < len(assumptions):
                 p = assumptions[dl]
-                val = self.assign[p >> 1] ^ (p & 1)
+                val = self.val[p]
                 if val == 1:
                     self.trail_lim.append(len(self.trail))  # dummy level
                 elif val == 0:
@@ -433,7 +437,7 @@ class Solver:
             else:
                 lit = self._pick_branch()
                 if lit == -1:
-                    model = [x == 1 for x in self.assign]
+                    model = [x == 1 for x in self.val[::2]]
                     self.cancel_until(len(assumptions) if self.conflicts == start else 0)
                     return SatResult(True, model=model)
                 self.trail_lim.append(len(self.trail))

@@ -15,6 +15,7 @@ from ihswcsp.model import (
     CostFunction,
     CostVector,
     HardConstraint,
+    LevelSpace,
     WcspInstance,
     dominates,
     evaluate,
@@ -133,6 +134,46 @@ def random_tiny_instance(
     if not funcs:
         funcs.append(make_cost_function((0,), 0, {(0,): 2}, domains))
     return WcspInstance("tiny", domains, tuple(hard), tuple(funcs), top)
+
+
+def reference_encoding_solver(instance: WcspInstance):
+    """The induced-CSP encoding's clauses, every one passed through the
+    general ``Solver.add_clause`` and every unlisted tuple of a partial table
+    collected into a list first; returns the loaded solver."""
+    from ihswcsp.sat import Solver, pos
+
+    space = LevelSpace.from_instance(instance)
+    solver = Solver()
+    value_lit = []
+    for d in instance.domains:
+        lits = [pos(solver.new_var()) for _ in range(d)]
+        value_lit.append(lits)
+        solver.add_clause(lits)
+        for a in range(d):
+            for b in range(a + 1, d):
+                solver.add_clause([lits[a] ^ 1, lits[b] ^ 1])
+    for hc in instance.hard_constraints:
+        for t in sorted(hc.forbidden):
+            solver.add_clause([value_lit[x][a] ^ 1 for x, a in zip(hc.scope, t)])
+
+    def forbid(scope, t, sel_lit):
+        solver.add_clause([sel_lit ^ 1] + [value_lit[x][a] ^ 1 for x, a in zip(scope, t)])
+
+    for i, f in enumerate(instance.cost_functions):
+        sels = [pos(solver.new_var()) for _ in f.levels]
+        for j in range(len(sels) - 1):
+            solver.add_clause([sels[j] ^ 1, sels[j + 1]])
+        base = space.baseline[i]
+        below = dict(zip(f.levels[1:], sels))
+        for t, c in sorted(f.explicit.items()):
+            if c > base:
+                forbid(f.scope, t, below[c])
+        ranges = [range(instance.domains[x]) for x in f.scope]
+        if f.default_cost > base:
+            unlisted = [t for t in itertools.product(*ranges) if t not in f.explicit]
+            for t in unlisted:
+                forbid(f.scope, t, sels[space.index(i, f.default_cost) - 1])
+    return solver
 
 
 def enumerate_assignments(instance: WcspInstance):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -12,7 +13,7 @@ from ihswcsp.model import (
     evaluate,
     make_cost_function,
 )
-from oracles import enumerate_assignments, random_tiny_instance
+from oracles import enumerate_assignments, random_tiny_instance, reference_encoding_solver
 
 
 def _induced_sat_by_enumeration(w, v):
@@ -171,3 +172,45 @@ def test_full_table_encodes_without_its_default():
     assert clauses(9, table) == clauses(0, table)
     partial = {t: c for t, c in table.items() if t != (1, 2)}  # the last tuple in order
     assert clauses(3, partial) == clauses(0, {**partial, (1, 2): 3})
+
+
+def _watch_indices(solver):
+    index = {id(c): k for k, c in enumerate(solver.clauses)}
+    return [[index[id(c)] for c in ws] for ws in solver.watches]
+
+
+def test_clauses_watches_and_trail_match_add_clause_encoder():
+    # the encoding stores clean clauses without add_clause's checks; the
+    # reference passes every clause through add_clause, so the stored
+    # clauses (with literal order), every watch list (as clause indices) and
+    # the root trail must be the same
+    from ihswcsp.merge import build_merged
+    from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
+
+    rng = random.Random(45)
+    seen = {"unit_domain": 0, "unary_hard": 0, "binary_hard": 0, "unsorted_scope": 0,
+            "unlisted": 0, "merged": 0}
+    instances = []
+    for k in range(150):
+        w = random_tiny_instance(rng, max_vars=5, max_funcs=4)
+        instances.append(w)
+        if k % 3 == 0:
+            instances.append(build_merged(w, cap=64).view)
+            seen["merged"] += 1
+    # ingest-shaped: merged tables over ascending scopes, tens of thousands of clauses
+    instances.append(build_merged(gen_uniform(GeneratorParams(120, 6, 240, 6, 12, seed=1))).view)
+    for w in instances:
+        seen["unit_domain"] += 1 in w.domains
+        for scope in [hc.scope for hc in w.hard_constraints] + [f.scope for f in w.cost_functions]:
+            seen["unsorted_scope"] += list(scope) != sorted(scope)
+        for hc in w.hard_constraints:
+            seen["unary_hard" if len(hc.scope) == 1 else "binary_hard"] += 1
+        enc = InducedCspEncoding(w)
+        for i, f in enumerate(w.cost_functions):
+            table = prod(w.domains[x] for x in f.scope)
+            seen["unlisted"] += f.default_cost > enc.space.baseline[i] and len(f.explicit) < table
+        got, want = enc.solver, reference_encoding_solver(w)
+        assert (got.ok, got.num_vars, got.trail) == (want.ok, want.num_vars, want.trail)
+        assert got.clauses == want.clauses
+        assert _watch_indices(got) == _watch_indices(want)
+    assert all(seen.values()), seen

@@ -245,3 +245,55 @@ def test_add_clause_matches_recorded_clauses_watches_and_trail():
     digest, seen = _add_clause_stream_digest()
     assert all(seen.values()), seen
     assert digest == "7df50fcd8cfbfec7d9b54765d848d26d9f46d6caba9338f6080b1fc7eacd69f7"
+
+
+def test_propagation_order_reasons_and_learnts_match_recorded_search():
+    # a conflict-heavy run of assumption solves on random 3-SAT near the
+    # phase transition; after every call the digest takes the trail order,
+    # each assigned variable's reason (as its index in clauses or learnts)
+    # and every learnt clause's literals; it was recorded with the solver
+    # that kept an assignment per variable (-1/0/1) and cancelled the trail
+    # from its top down, so it pins propagation order, reasons and learning
+    rng = random.Random(103)
+    n = 110
+    s = Solver()
+    for _ in range(int(4.2 * n)):
+        s.add_clause([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)])
+    digest = hashlib.sha256()
+    sat_calls = 0
+    for _ in range(60):
+        assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 2)]
+        res = s.solve(assumptions)
+        sat_calls += res.sat
+        index = {id(c): ("c", k) for k, c in enumerate(s.clauses)}
+        index.update((id(c), ("l", k)) for k, c in enumerate(s.learnts))
+        reasons = [None if (r := s.reason[l >> 1]) is None else index[id(r)] for l in s.trail]
+        digest.update(repr((res.sat, s.trail, reasons, s.learnts)).encode())
+    # both answers occur, and the learnt database has been reduced
+    assert 0 < sat_calls < 60 and s.conflicts > 2 * len(s.learnts)
+    assert digest.hexdigest() == "a1f51012473be9584491ba233f4c68be3a8be84f965a5c017a6b46280468c1f6"
+
+
+def test_activity_rescale_rebuilds_heap_from_value_table():
+    # a conflict-free solve keeps its assumption levels, so some variables
+    # are assigned when the rescale runs; it must flag and push exactly the
+    # unassigned ones, at their scaled activities
+    rng = random.Random(104)
+    n = 16
+    clauses = [[pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)] for _ in range(40)]
+    s = Solver()
+    for c in clauses:
+        s.add_clause(c)
+    for _ in range(50):
+        assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
+        before = s.conflicts
+        if s.solve(assumptions).sat and s.conflicts == before:
+            break
+    assert s.trail_lim
+    s._rescale_var_activity()
+    free = [v for v in range(n) if s.val[pos(v)] == 2]
+    assert list(s.in_heap) == [int(v in free) for v in range(n)]
+    assert sorted(s.heap) == sorted((-s.activity[v], v) for v in free)
+    for _ in range(20):
+        assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
+        assert s.solve(assumptions).sat == truth_table_sat(n, clauses, assumptions)
