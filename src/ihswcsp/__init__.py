@@ -3,7 +3,7 @@
 from .driver import RunReport, SolverConfig, solve
 from .encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
-from .improve import ImproveOutcome, improve_core
+from .improve import improve_core
 from .merge import MergedProblem, build_merged, min_fill_order
 from .model import (
     Assignment,
@@ -13,9 +13,7 @@ from .model import (
     LevelSpace,
     WcspInstance,
     cost,
-    dominates,
     evaluate,
-    hits,
     make_cost_function,
 )
 from .wcsp_io import (
@@ -37,7 +35,6 @@ __all__ = [
     "GeneratorParams",
     "HardConstraint",
     "HittingProblem",
-    "ImproveOutcome",
     "InducedCspEncoding",
     "LevelSpace",
     "MergedProblem",
@@ -51,12 +48,10 @@ __all__ = [
     "build_merged",
     "cost",
     "cost_bounded_hv",
-    "dominates",
     "evaluate",
     "gen_scale_free",
     "gen_uniform",
     "greedy_hv",
-    "hits",
     "improve_core",
     "make_cost_function",
     "min_cost_hv",

@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--core", choices=CORE_STRATEGIES, default="maximal")
     p_solve.add_argument("--merge", type=_onoff, default=False)
     p_solve.add_argument("--disjoint", type=_onoff, default=False)
-    p_solve.add_argument("--merge-cap", type=int, default=4096)
     p_solve.add_argument("--timeout", type=float, default=3600.0)
 
     p_gen = sub.add_parser("generate", help="generate a random instance family")
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output CSV path")
     p_bench.add_argument("--matrix", default=None, help="e.g. hv=lb,ub;core=maximal;merge=on")
     p_bench.add_argument("--timeout", type=float, default=3600.0)
-    p_bench.add_argument("--merge-cap", type=int, default=4096)
     p_bench.add_argument("--jobs", type=int, default=1)
 
     p_table = sub.add_parser("table", help="render ratio tables from a bench CSV")
@@ -96,25 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     try:
         instance = parse_wcsp(Path(args.instance).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    cfg = SolverConfig(
-        hv=args.hv, core=args.core, merge=args.merge, disjoint=args.disjoint, **_limits(args)
-    )
-    try:
+        cfg = SolverConfig(
+            hv=args.hv, core=args.core, merge=args.merge, disjoint=args.disjoint,
+            time_limit=args.timeout,
+        )
         report = solve(instance, cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for key, value in _report_fields(report).items():
         print(f"{key}={value}")
     return {"optimal": 0, "timeout": 2, "infeasible": 3}[report.status]
-
-
-def _limits(args) -> dict[str, float]:
-    """The SolverConfig fields that solve and bench take from their options."""
-    return {"merge_cap": args.merge_cap, "time_limit": args.timeout}
 
 
 def _report_fields(report: RunReport) -> dict[str, object]:
@@ -166,7 +156,7 @@ def _cmd_generate(args) -> int:
 
 def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
     """The configurations of a ``--matrix`` spec (default: all 32 with
-    disjoint off), each built with ``limits`` and validated."""
+    disjoint off), each built with the SolverConfig keywords ``limits``."""
     dims: dict[str, list[str]] = {
         "hv": list(HV_STRATEGIES),
         "core": list(CORE_STRATEGIES),
@@ -186,16 +176,13 @@ def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
         for v in dims[key]:
             if v not in ("on", "off"):
                 raise ValueError(f"{key} must be on or off, got {v!r}")
-    configs = [
+    return [
         SolverConfig(hv=hv, core=core, merge=merge == "on", disjoint=disjoint == "on", **limits)
         for hv in dims["hv"]
         for core in dims["core"]
         for merge in dims["merge"]
         for disjoint in dims["disjoint"]
     ]
-    for cfg in configs:
-        cfg.validate()
-    return configs
 
 
 def _bench_one(task: tuple[str, SolverConfig]) -> dict[str, object]:
@@ -229,7 +216,7 @@ def _cmd_bench(args) -> int:
         print(f"error: no .wcsp files under {root}", file=sys.stderr)
         return 1
     try:
-        matrix = parse_matrix(args.matrix, **_limits(args))
+        matrix = parse_matrix(args.matrix, time_limit=args.timeout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,19 +30,15 @@ class SolverConfig:
     core: str = "maximal"
     merge: bool = False
     disjoint: bool = False
-    merge_cap: int = 4096
     time_limit: float = 3600.0
-    keep_cores: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hv not in HV_STRATEGIES:
             raise ValueError(f"unknown hitting-vector strategy {self.hv!r}")
         if self.core not in STRATEGIES:
             raise ValueError(f"unknown core strategy {self.core!r}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too: no deadline would ever pass
             raise ValueError("time_limit must be positive")
-        if self.merge_cap < 1:
-            raise ValueError("merge_cap must be >= 1")
 
 
 @dataclass
@@ -58,7 +54,8 @@ class RunReport:
     ``improve_time``, which covers whole improvement and disjoint phases.
     ``merge_time`` (0 without merging) and ``encode_time`` are the set-up
     before the first solve.  Bounds and the optimum include the instance's
-    constant offset."""
+    constant offset.  ``final_cores`` is the run's core set at the end and
+    ``inserted_cores`` every improved core in the order it was added."""
 
     status: str
     optimum: int | None
@@ -81,9 +78,9 @@ class RunReport:
     merge_time: float
     encode_time: float
     total_time: float
+    final_cores: list[CostVector]
+    inserted_cores: list[CostVector]
     best_assignment: Assignment | None = None
-    final_cores: list[CostVector] | None = None
-    inserted_cores: list[CostVector] | None = None
 
 
 class _Run:
@@ -92,7 +89,7 @@ class _Run:
     def __init__(self, instance: WcspInstance, cfg: SolverConfig):
         self.cfg = cfg
         self.started = started = time.perf_counter()
-        view = build_merged(instance, cfg.merge_cap).view if cfg.merge else instance
+        view = build_merged(instance).view if cfg.merge else instance
         merged = time.perf_counter()
         self.offset = view.constant_offset
         self.enc = InducedCspEncoding(view)
@@ -134,8 +131,7 @@ class _Run:
                     self.lb = cost(h)
                 res = self.enc.solve_induced(h)
                 if isinstance(res, Satisfiable):
-                    improved = self.record(cost(res.solution_vector), res.assignment)
-                    fallback = kind == "greedy" and not improved
+                    fallback = not self.record(res) and kind == "greedy"
                 else:
                     self.refute(h, res.lazy_core)
             self.trace.append((self.lb, self.ub))
@@ -154,12 +150,13 @@ class _Run:
             self.hv_time += time.perf_counter() - t
             self.hv_calls += 1
 
-    def record(self, sv_cost: int, assignment: Assignment | None) -> bool:
-        """Take the solution as the incumbent if it improves ub; returns
-        whether it did."""
+    def record(self, res: Satisfiable) -> bool:
+        """Take the answer's solution as the incumbent if it improves ub;
+        returns whether it did.  Every solution of the run comes through
+        here."""
+        sv_cost = cost(res.solution_vector)
         if self.ub is None or sv_cost < self.ub:
-            self.ub = sv_cost
-            self.best_assignment = assignment
+            self.ub, self.best_assignment = sv_cost, res.assignment
             return True
         return False
 
@@ -178,13 +175,12 @@ class _Run:
     def improve(self, lazy_core: CostVector) -> CostVector:
         """Improve a lazy core against the incumbent, add it and record any
         solution the probes found; returns the improved core."""
-        outcome = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
-        self.problem.add(outcome.core)
-        if self.cfg.keep_cores:
-            self.inserted.append(outcome.core)
-        if outcome.new_ub is not None:
-            self.record(outcome.new_ub, outcome.new_ub_assignment)
-        return outcome.core
+        core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
+        self.problem.add(core)
+        self.inserted.append(core)
+        if best is not None:
+            self.record(best)
+        return core
 
     def disjoint_phase(self, h: CostVector, k: CostVector) -> None:
         """Disjoint-core extraction after ``h`` was refuted by the core ``k``:
@@ -201,7 +197,7 @@ class _Run:
             probe = tuple(top[i] if i in used else h[i] for i in range(len(h)))
             res = self.enc.solve_induced(probe)
             if isinstance(res, Satisfiable):
-                self.record(cost(res.solution_vector), res.assignment)
+                self.record(res)
                 return
             k = self.improve(res.lazy_core)
             active = {i for i in range(len(k)) if k[i] < top[i]}
@@ -213,7 +209,6 @@ class _Run:
         def off(x: int | None) -> int | None:
             return None if x is None else x + self.offset
 
-        keep = self.cfg.keep_cores
         return RunReport(
             status=status,
             optimum=off(self.lb) if status == "optimal" else None,
@@ -236,9 +231,9 @@ class _Run:
             merge_time=self.merge_time,
             encode_time=self.encode_time,
             total_time=time.perf_counter() - self.started,
+            final_cores=list(self.problem.cores),
+            inserted_cores=self.inserted,
             best_assignment=self.best_assignment,
-            final_cores=list(self.problem.cores) if keep else None,
-            inserted_cores=list(self.inserted) if keep else None,
         )
 
 
@@ -248,7 +243,6 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     Deterministic for a fixed (instance, config); the reported optimum equals
     the instance's true minimum cost, merging on or off."""
     cfg = cfg or SolverConfig()
-    cfg.validate()
     run = _Run(instance, cfg)
     try:
         if isinstance(run.enc.solve_induced(run.enc.space.maximum), Unsatisfiable):

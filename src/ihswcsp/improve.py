@@ -9,10 +9,8 @@ raise and keeping it only while the vector stays a core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .encoding import InducedCspEncoding, Satisfiable
-from .model import Assignment, CostVector, cost
+from .model import CostVector, cost
 
 # strategy -> (respect_ub, stop_on_sat) of its raise loop; None for lazy,
 # which keeps the failed-assumption core as it is
@@ -25,17 +23,9 @@ _RAISE_SETTINGS: dict[str, tuple[bool, bool] | None] = {
 STRATEGIES = tuple(_RAISE_SETTINGS)
 
 
-@dataclass
-class ImproveOutcome:
-    core: CostVector
-    new_ub: int | None
-    new_ub_assignment: Assignment | None
-    probes: int
-
-
 def improve_core(
     strategy: str, lazy_core: CostVector, ub: int | None, encoding: InducedCspEncoding
-) -> ImproveOutcome:
+) -> tuple[CostVector, Satisfiable | None]:
     """Improve ``lazy_core``, the core an unsatisfiable answer of ``encoding``
     carries.
 
@@ -43,22 +33,21 @@ def improve_core(
     raise and probe: ``maximal`` until no component can rise,
     ``cost-bounded`` until the core costs at least ``ub`` as well, and
     ``partial-max`` until the first satisfiable probe (components at their
-    maximum are skipped, not counted as a stop).  The best solution a probe
-    finds is returned as ``new_ub``.
+    maximum are skipped, not counted as a stop).  Returns ``(core, best)``:
+    the improved core and the cheapest satisfiable probe answer, or None
+    when no probe was satisfiable.
     """
     if strategy not in _RAISE_SETTINGS:
         raise ValueError(f"unknown core strategy {strategy!r}")
     settings = _RAISE_SETTINGS[strategy]
     if settings is None:
-        return ImproveOutcome(tuple(lazy_core), None, None, 0)
+        return tuple(lazy_core), None
     respect_ub, stop_on_sat = settings
     if not respect_ub:
         ub = None
     space = encoding.space
-    before = encoding.num_solves
     k = list(lazy_core)
-    best_cost: int | None = None
-    best_assignment: Assignment | None = None
+    best: Satisfiable | None = None
     candidates = [i for i in range(len(k)) if k[i] < space.maximum[i]]
     while candidates:
         if ub is not None and sum(k) >= ub:
@@ -69,9 +58,8 @@ def improve_core(
         probe[i] = raised
         res = encoding.solve_induced(tuple(probe))
         if isinstance(res, Satisfiable):
-            sv_cost = cost(res.solution_vector)
-            if best_cost is None or sv_cost < best_cost:
-                best_cost, best_assignment = sv_cost, res.assignment
+            if best is None or cost(res.solution_vector) < cost(best.solution_vector):
+                best = res
             candidates.remove(i)
             if stop_on_sat:
                 break
@@ -79,4 +67,4 @@ def improve_core(
             k[i] = raised
             if k[i] >= space.maximum[i]:
                 candidates.remove(i)
-    return ImproveOutcome(tuple(k), best_cost, best_assignment, encoding.num_solves - before)
+    return tuple(k), best

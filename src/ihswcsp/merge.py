@@ -136,7 +136,9 @@ def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
                 edges.add((min(a, b), max(a, b)))
     _, dclusters = min_fill_order(w.num_vars, edges)
 
-    groups = _group_by_cluster(w, dclusters)
+    # without variables there is no cluster: one empty cluster holds the
+    # empty-scope functions
+    groups = _group_by_cluster(w, dclusters or [()])
     merged_count = 0
     split_count = 0
     final_groups: list[tuple[int, ...]] = []

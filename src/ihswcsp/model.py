@@ -1,4 +1,4 @@
-"""Data model for weighted CSPs: instances, cost vectors, and the domination order."""
+"""Data model for weighted CSPs: instances, cost vectors and their level grid."""
 
 from __future__ import annotations
 
@@ -14,18 +14,6 @@ Assignment = tuple[int, ...]
 def cost(v: CostVector) -> int:
     """Sum of a vector's components."""
     return sum(v)
-
-
-def dominates(v: CostVector, u: CostVector) -> bool:
-    """True iff ``u <= v`` componentwise, i.e. ``v`` dominates ``u``."""
-    if len(v) != len(u):
-        raise ValueError(f"vector length mismatch: {len(v)} != {len(u)}")
-    return all(a <= b for a, b in zip(u, v))
-
-
-def hits(h: CostVector, cores: Iterable[CostVector]) -> bool:
-    """True iff no vector in ``cores`` dominates ``h``."""
-    return all(not dominates(k, h) for k in cores)
 
 
 @dataclass(frozen=True)

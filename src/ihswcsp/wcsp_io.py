@@ -40,6 +40,10 @@ class EnumerationCapExceeded(RuntimeError):
     """The instance's assignment space exceeds the brute-force cap."""
 
 
+# the most tuples the parser or the brute-force oracle enumerates
+ENUMERATION_CAP = 1 << 20
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """The five instance-family parameters plus a seed.
@@ -102,7 +106,7 @@ def parse_wcsp(text: str) -> WcspInstance:
     if nvars < 0 or nfunctions < 0 or top < 1 or max_dom < 1:
         raise WcspParseError(line_no, "malformed header values")
 
-    line_no, tokens = cur.next_row("domain sizes")
+    line_no, tokens = cur.next_row("domain sizes") if nvars else (line_no, [])
     domains = tuple(_ints(line_no, tokens, "domain sizes"))
     if len(domains) != nvars:
         raise WcspParseError(line_no, f"expected {nvars} domain sizes, got {len(domains)}")
@@ -145,12 +149,12 @@ def parse_wcsp(text: str) -> WcspInstance:
         forbidden = {t for t, c in raw.items() if c >= top}
         explicit = {t: c for t, c in raw.items() if c < top}
         if default_cost >= top:
-            for t in itertools.product(*(range(domains[x]) for x in scope)):
-                if t not in raw:
-                    forbidden.add(t)
-            f = make_cost_function(scope, None, explicit, domains, blocked=frozenset(forbidden))
-        else:
-            f = make_cost_function(scope, default_cost, explicit, domains, blocked=frozenset(forbidden))
+            if (size := prod(domains[x] for x in scope)) > ENUMERATION_CAP:
+                raise WcspParseError(line_no, f"default cost >= top over {size} tuples exceeds {ENUMERATION_CAP}")
+            unlisted = itertools.product(*(range(domains[x]) for x in scope))
+            forbidden.update(t for t in unlisted if t not in raw)
+        soft_default = default_cost if default_cost < top else None
+        f = make_cost_function(scope, soft_default, explicit, domains, blocked=frozenset(forbidden))
         if forbidden:
             hard.append(HardConstraint(scope, frozenset(forbidden)))
         if f is not None:
@@ -259,7 +263,7 @@ def gen_scale_free(p: GeneratorParams) -> WcspInstance:
 # brute-force oracles
 
 
-def brute_force_optimum(w: WcspInstance, limit: int = 1 << 20) -> int | None:
+def brute_force_optimum(w: WcspInstance, limit: int = ENUMERATION_CAP) -> int | None:
     """Exhaustive optimum over all assignments (vectorized enumeration).
 
     Returns the minimum total cost of a feasible assignment (including the

@@ -72,6 +72,6 @@ def suite1_runs(suite1):
         for hv in HV_ALL:
             for core in CORE_ALL:
                 for merge in (False, True):
-                    cfg = SolverConfig(hv=hv, core=core, merge=merge, keep_cores=True)
+                    cfg = SolverConfig(hv=hv, core=core, merge=merge)
                     runs[(name, hv, core, merge)] = solve(inst, cfg)
     return runs

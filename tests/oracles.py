@@ -17,10 +17,21 @@ from ihswcsp.model import (
     HardConstraint,
     LevelSpace,
     WcspInstance,
-    dominates,
     evaluate,
     make_cost_function,
 )
+
+
+def dominates(v: CostVector, u: CostVector) -> bool:
+    """True iff ``u <= v`` componentwise, i.e. ``v`` dominates ``u``."""
+    if len(v) != len(u):
+        raise ValueError(f"vector length mismatch: {len(v)} != {len(u)}")
+    return all(a <= b for a, b in zip(u, v))
+
+
+def hits(h: CostVector, cores) -> bool:
+    """True iff no vector in ``cores`` dominates ``h``."""
+    return all(not dominates(k, h) for k in cores)
 
 
 def truth_table(num_vars: int, clauses):

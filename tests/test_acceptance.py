@@ -16,11 +16,12 @@ from ihswcsp.driver import SolverConfig, solve
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
 from ihswcsp.merge import build_merged
-from ihswcsp.model import cost, evaluate, hits
+from ihswcsp.model import cost, evaluate
 from ihswcsp.sat import Solver, neg, pos
 from ihswcsp.wcsp_io import brute_force_optimum, parse_wcsp, write_wcsp
 from oracles import (
     enumerate_hitting,
+    hits,
     random_cnf,
     random_cores,
     random_level_space,
@@ -229,7 +230,7 @@ def test_criterion_09_determinism(suite1, suite1_runs):
             for core in CORE_ALL:
                 for merge in (False, True):
                     first = suite1_runs[(name, hv, core, merge)]
-                    again = solve(inst, SolverConfig(hv=hv, core=core, merge=merge, keep_cores=True))
+                    again = solve(inst, SolverConfig(hv=hv, core=core, merge=merge))
                     same = (
                         first.optimum == again.optimum
                         and first.iterations == again.iterations

@@ -34,8 +34,22 @@ def test_solve_unknown_strategy_exits_one(toy_path):
     assert main(["solve", "--instance", str(toy_path), "--hv", "bogus"]) == 1
 
 
-def test_solve_missing_file_exits_one(tmp_path):
+def test_solve_missing_file_exits_one(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "nope.wcsp")]) == 1
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+
+def test_solve_error_names_the_exception_type(toy_path, capsys, monkeypatch):
+    import ihswcsp.cli as cli
+
+    def fail(instance, cfg):
+        raise AssertionError()
+
+    monkeypatch.setattr(cli, "solve", fail)
+    assert main(["solve", "--instance", str(toy_path)]) == 1
+    assert capsys.readouterr().err == "error: AssertionError: \n"
+    assert main(["solve", "--instance", str(toy_path), "--timeout", "0"]) == 1
+    assert capsys.readouterr().err == "error: ValueError: time_limit must be positive\n"
 
 
 def test_solve_timeout_exit_code(tmp_path):
@@ -75,10 +89,10 @@ def test_generate_count_zero(tmp_path):
 
 def test_parse_matrix_full_and_restricted():
     assert len(parse_matrix(None)) == 32
-    got = parse_matrix("hv=lb,ub;core=maximal;merge=on", merge_cap=8, time_limit=5.0)
+    got = parse_matrix("hv=lb,ub;core=maximal;merge=on", time_limit=5.0)
     assert got == [
-        SolverConfig(hv="lb", core="maximal", merge=True, merge_cap=8, time_limit=5.0),
-        SolverConfig(hv="ub", core="maximal", merge=True, merge_cap=8, time_limit=5.0),
+        SolverConfig(hv="lb", core="maximal", merge=True, time_limit=5.0),
+        SolverConfig(hv="ub", core="maximal", merge=True, time_limit=5.0),
     ]
     with pytest.raises(ValueError):
         parse_matrix("hv=warp")

@@ -12,11 +12,10 @@ from ihswcsp.model import (
     HardConstraint,
     WcspInstance,
     cost,
-    dominates,
     make_cost_function,
 )
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
-from oracles import random_tiny_instance
+from oracles import dominates, random_tiny_instance
 
 ALL_HV = ("lb", "ub", "grd-lb", "grd-ub")
 ALL_CORE = ("lazy", "cost-bounded", "partial-max", "maximal")
@@ -121,6 +120,14 @@ def test_lb_without_disjoint_inserts_one_core_per_nonfinal_iteration():
         assert report.core_insertions == report.iterations - 1
 
 
+def test_default_solve_reports_its_cores():
+    w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=5))
+    report = solve(w)
+    rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
+    assert report.final_cores == rebuilt.cores
+    assert len(report.inserted_cores) == report.core_insertions > 0
+
+
 def test_lb_terminal_core_set_proves_optimum():
     rng = random.Random(24)
     for _ in range(10):
@@ -128,7 +135,7 @@ def test_lb_terminal_core_set_proves_optimum():
         if brute_force_optimum(w) is None:
             continue
         for hv in ("lb", "grd-lb"):
-            report = solve(w, SolverConfig(hv=hv, core="maximal", keep_cores=True))
+            report = solve(w, SolverConfig(hv=hv, core="maximal"))
             space = LevelSpace.from_instance(w)
             proof = min_cost_hv(HittingProblem(space, report.final_cores))
             assert cost(proof) + w.constant_offset == report.optimum
@@ -150,7 +157,7 @@ def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
         w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=seed))
         for core, disjoint in (("lazy", False), ("lazy", True), ("maximal", False)):
             built.clear()
-            cfg = SolverConfig(hv="lb", core=core, disjoint=disjoint, keep_cores=True)
+            cfg = SolverConfig(hv="lb", core=core, disjoint=disjoint)
             report = solve(w, cfg)
             [problem] = built
             rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
@@ -170,7 +177,7 @@ def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
 
 def test_disjoint_phase_extracts_independent_cores():
     w = _two_conflicts_instance()
-    report = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True, keep_cores=True))
+    report = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True))
     assert report.optimum == 2
     assert len(report.inserted_cores) >= 2
     # the first iteration already contributed two disjoint cores
@@ -179,7 +186,7 @@ def test_disjoint_phase_extracts_independent_cores():
 
 def test_disjoint_phase_adds_disjoint_cores_in_first_iteration():
     w = _two_conflicts_instance()
-    report = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True, keep_cores=True))
+    report = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True))
     # the first iteration inserts both cores; the second one is satisfiable
     assert report.iterations == 2 and report.bounds_trace[-1] == (2, 2)
     first, second = report.inserted_cores
@@ -189,14 +196,14 @@ def test_disjoint_phase_adds_disjoint_cores_in_first_iteration():
     fresh = InducedCspEncoding(w)
     for k in (first, second):
         assert isinstance(fresh.solve_induced(k), Unsatisfiable)
-    without = solve(w, SolverConfig(hv="lb", core="maximal", keep_cores=True))
+    without = solve(w, SolverConfig(hv="lb", core="maximal"))
     assert without.iterations == 3
 
 
 def test_single_conflict_instance_yields_no_extras():
     w = _forced_instance()
-    on = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True, keep_cores=True))
-    off = solve(w, SolverConfig(hv="lb", core="maximal", keep_cores=True))
+    on = solve(w, SolverConfig(hv="lb", core="maximal", disjoint=True))
+    off = solve(w, SolverConfig(hv="lb", core="maximal"))
     assert on.inserted_cores == off.inserted_cores == [(1,)]
     # the phase's only probe is the satisfiable one that ends it
     assert on.improve_probes == off.improve_probes + 1
@@ -404,6 +411,14 @@ def test_constant_merged_cluster():
         assert report.optimum == 1
 
 
+def test_zero_variable_instance_solves_with_and_without_merging():
+    f = CostFunction((), 0, {(): 5}, (0, 5))
+    w = WcspInstance("z", (), (), (f,), 10)
+    for merge in (False, True):
+        report = solve(w, SolverConfig(merge=merge))
+        assert report.status == "optimal" and report.optimum == 5
+
+
 def test_constant_offset_flows_through_solve():
     from ihswcsp.wcsp_io import parse_wcsp
 
@@ -417,10 +432,11 @@ def test_constant_offset_flows_through_solve():
 
 
 def test_config_validation():
-    w = _forced_instance()
     with pytest.raises(ValueError):
-        solve(w, SolverConfig(hv="nope"))
+        SolverConfig(hv="nope")
     with pytest.raises(ValueError):
-        solve(w, SolverConfig(core="nope"))
+        SolverConfig(core="nope")
     with pytest.raises(ValueError):
-        solve(w, SolverConfig(time_limit=0))
+        SolverConfig(time_limit=0)
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit=float("nan"))

@@ -9,11 +9,10 @@ from ihswcsp.model import (
     CostFunction,
     HardConstraint,
     WcspInstance,
-    dominates,
     evaluate,
     make_cost_function,
 )
-from oracles import enumerate_assignments, random_tiny_instance, reference_encoding_solver
+from oracles import dominates, enumerate_assignments, random_tiny_instance, reference_encoding_solver
 
 
 def _induced_sat_by_enumeration(w, v):

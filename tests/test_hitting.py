@@ -15,8 +15,8 @@ from ihswcsp.hitting import (
     greedy_hv,
     min_cost_hv,
 )
-from ihswcsp.model import cost, hits
-from oracles import enumerate_hitting, random_cores, random_level_space
+from ihswcsp.model import cost
+from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
 
 def _problem(levels, cores, deadline=None):

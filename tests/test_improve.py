@@ -3,8 +3,8 @@ import random
 
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.improve import improve_core
-from ihswcsp.model import CostFunction, WcspInstance, dominates, evaluate, make_cost_function
-from oracles import random_tiny_instance
+from ihswcsp.model import CostFunction, WcspInstance, evaluate, make_cost_function
+from oracles import dominates, random_tiny_instance
 
 
 def _forced_instance():
@@ -27,35 +27,46 @@ def _two_function_instance():
     return WcspInstance("duo", (3, 2), hards, (f1, f2), 20)
 
 
+def _improve(strategy, lazy_core, ub, enc):
+    """``improve_core``'s core and best answer, and the probes it spent."""
+    before = enc.num_solves
+    core, best = improve_core(strategy, lazy_core, ub, enc)
+    return core, best, enc.num_solves - before
+
+
+def _check_best(w, best):
+    feasible, sv, total = evaluate(w, best.assignment)
+    assert feasible and sv == best.solution_vector
+    return total
+
+
 def test_maximal_on_forced_instance():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
     res = enc.solve_induced((0,))
     assert isinstance(res, Unsatisfiable)
-    out = improve_core("maximal", res.lazy_core, None, enc)
-    assert out.core == (1,)
-    assert out.probes == 2  # raise to 1 (unsat), raise to 2 (sat)
-    assert out.new_ub == 2
-    feasible, _, total = evaluate(w, out.new_ub_assignment)
-    assert feasible and total == out.new_ub
+    core, best, probes = _improve("maximal", res.lazy_core, None, enc)
+    assert core == (1,)
+    assert probes == 2  # raise to 1 (unsat), raise to 2 (sat)
+    assert _check_best(w, best) == 2
 
 
 def test_lazy_is_free_and_deterministic():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    out1 = improve_core("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
-    assert out1.probes == 0
-    out2 = improve_core("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
-    assert out1.core == out2.core
-    assert out1.new_ub is None
+    core1, best1, probes1 = _improve("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
+    assert probes1 == 0
+    core2, _, _ = _improve("lazy", enc.solve_induced((0,)).lazy_core, None, enc)
+    assert core1 == core2
+    assert best1 is None
 
 
 def test_cost_bounded_stops_at_entry():
     w = _forced_instance()
     enc = InducedCspEncoding(w)
-    out = improve_core("cost-bounded", enc.solve_induced((0,)).lazy_core, 0, enc)
-    assert out.core == (0,)
-    assert out.probes == 0
+    core, _, probes = _improve("cost-bounded", enc.solve_induced((0,)).lazy_core, 0, enc)
+    assert core == (0,)
+    assert probes == 0
 
 
 def test_cost_bounded_with_infinite_bound_equals_maximal():
@@ -68,11 +79,10 @@ def test_cost_bounded_with_infinite_bound_equals_maximal():
         res = enc.solve_induced(baseline)
         if isinstance(res, Satisfiable):
             continue
-        a = improve_core("cost-bounded", res.lazy_core, None, enc)
+        a = _improve("cost-bounded", res.lazy_core, None, enc)
         enc2 = InducedCspEncoding(w)
-        b = improve_core("maximal", enc2.solve_induced(baseline).lazy_core, None, enc2)
-        assert a.core == b.core
-        assert a.probes == b.probes
+        b = _improve("maximal", enc2.solve_induced(baseline).lazy_core, None, enc2)
+        assert a == b
         checked += 1
 
 
@@ -82,22 +92,22 @@ def test_partial_maximal_stops_on_first_sat_probe():
     res = enc.solve_induced(enc.space.baseline)
     assert isinstance(res, Unsatisfiable)
     assert res.lazy_core == (0, 0)  # both bounds are needed for the conflict
-    out = improve_core("partial-max", res.lazy_core, None, enc)
+    core, _, probes = _improve("partial-max", res.lazy_core, None, enc)
     # scripted trace: raise f1 0->1 keeps the conflict (x=1 is hard-forbidden),
     # raise f2 0->1 frees y=1 and stops the loop
-    assert out.core == (1, 0)
-    assert out.probes == 2
+    assert core == (1, 0)
+    assert probes == 2
 
 
 def test_maximal_continues_past_sat_components():
     w = _two_function_instance()
     enc = InducedCspEncoding(w)
-    out = improve_core("maximal", enc.solve_induced(enc.space.baseline).lazy_core, None, enc)
-    assert out.core == (1, 0)
-    assert out.probes == 3
-    assert out.new_ub == 1
+    core, best, probes = _improve("maximal", enc.solve_induced(enc.space.baseline).lazy_core, None, enc)
+    assert core == (1, 0)
+    assert probes == 3
+    assert _check_best(w, best) == 1
     fresh = InducedCspEncoding(w)
-    assert isinstance(fresh.solve_induced(out.core), Unsatisfiable)
+    assert isinstance(fresh.solve_induced(core), Unsatisfiable)
 
 
 def test_strategy_invariants_on_random_instances():
@@ -117,14 +127,12 @@ def test_strategy_invariants_on_random_instances():
         probes = {}
         for strategy in ("lazy", "cost-bounded", "partial-max", "maximal"):
             enc_s = InducedCspEncoding(w)
-            out = improve_core(strategy, enc_s.solve_induced(start).lazy_core, None, enc_s)
-            assert dominates(out.core, start)
+            core, best, probes[strategy] = _improve(strategy, enc_s.solve_induced(start).lazy_core, None, enc_s)
+            assert dominates(core, start)
             fresh = InducedCspEncoding(w)
-            assert isinstance(fresh.solve_induced(out.core), Unsatisfiable)
-            if out.new_ub is not None:
-                feasible, _, total = evaluate(w, out.new_ub_assignment)
-                assert feasible and total == out.new_ub
-            probes[strategy] = out.probes
+            assert isinstance(fresh.solve_induced(core), Unsatisfiable)
+            if best is not None:
+                _check_best(w, best)
         assert probes["lazy"] <= probes["cost-bounded"] <= probes["maximal"]
         assert probes["lazy"] <= probes["partial-max"] <= probes["maximal"]
         checked += 1
@@ -139,8 +147,7 @@ def test_maximal_output_is_maximal():
         res = enc.solve_induced(enc.space.baseline)
         if isinstance(res, Satisfiable):
             continue
-        out = improve_core("maximal", res.lazy_core, None, enc)
-        k = out.core
+        k, _ = improve_core("maximal", res.lazy_core, None, enc)
         fresh = InducedCspEncoding(w)
         for i, f in enumerate(w.cost_functions):
             if k[i] >= f.levels[-1]:

@@ -11,12 +11,10 @@ from ihswcsp.model import (
     LevelSpace,
     WcspInstance,
     cost,
-    dominates,
     evaluate,
-    hits,
     make_cost_function,
 )
-from oracles import maximal_subset
+from oracles import dominates, hits, maximal_subset
 
 
 def test_cost():

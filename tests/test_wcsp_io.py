@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,15 @@ def test_parse_top_default_becomes_hard_constraint():
     assert w.hard_constraints[0].forbidden == frozenset({(0, 1), (1, 0), (1, 1)})
 
 
+def test_parse_top_default_over_a_huge_scope_fails_fast():
+    # seven variables of domain 10: 10**7 unlisted tuples would be forbidden
+    text = "big 7 10 1 5\n" + " ".join(["10"] * 7) + "\n7 0 1 2 3 4 5 6 5 0\n"
+    started = time.perf_counter()
+    with pytest.raises(WcspParseError, match="^line 3: "):
+        parse_wcsp(text)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_parse_single_level_folds_to_offset():
     text = "ex 1 2 1 10\n2\n1 0 3 0\n"
     w = parse_wcsp(text)
@@ -60,6 +70,12 @@ def test_parse_mixed_function_splits():
 def test_write_empty_instance():
     w = WcspInstance("empty", (2, 3), (), (), 5)
     assert write_wcsp(w) == "empty 2 3 0 5\n2 3\n"
+
+
+def test_zero_variable_instance_roundtrips():
+    w = WcspInstance("z", (), (), (), 10, 3)
+    assert write_wcsp(w) == "z 0 1 1 10\n0 3 0\n"
+    assert parse_wcsp(write_wcsp(w)) == w
 
 
 def test_write_parse_identity_on_smallest():
