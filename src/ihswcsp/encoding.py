@@ -29,6 +29,7 @@ from math import prod
 
 from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
 from .sat import Clause, Solver, pos
+from .wcsp_io import ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,19 @@ class InducedCspEncoding:
     def __init__(self, instance: WcspInstance):
         self.instance = instance
         self.space = space = LevelSpace.from_instance(instance)
+        # each unlisted tuple above the baseline costs one clause, so refuse a
+        # table past the enumeration cap before building anything
+        n_unlisted = [
+            prod(instance.domains[x] for x in f.scope) - len(f.explicit)
+            for f in instance.cost_functions
+        ]
+        for i, (f, count) in enumerate(zip(instance.cost_functions, n_unlisted)):
+            if count > ENUMERATION_CAP and f.default_cost > space.baseline[i]:
+                raise ValueError(
+                    f"cost function {i} over scope {f.scope} has {count} unlisted tuples "
+                    f"at default cost {f.default_cost}, more than the {ENUMERATION_CAP} "
+                    "the encoding enumerates"
+                )
         self.solver = Solver()
         self.num_solves = 0
         self.solve_time = 0.0
@@ -81,10 +95,10 @@ class InducedCspEncoding:
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
             explicit = sorted(f.explicit.items())
             self._add(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
-            ranges = [range(instance.domains[x]) for x in f.scope]
             # a full table has no unlisted tuple to enumerate; the others are
             # streamed, never held as a list
-            if f.default_cost > base and len(f.explicit) < prod(map(len, ranges)):
+            if f.default_cost > base and n_unlisted[i]:
+                ranges = [range(instance.domains[x]) for x in f.scope]
                 sel = sels[space.index(i, f.default_cost) - 1]
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
                 self._add(self._forbidding(f.scope, ((t, sel) for t in unlisted)))

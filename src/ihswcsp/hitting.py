@@ -8,25 +8,30 @@ dominates.  The witness tables grow with it, so no call rebuilds them.
 
 All three searches operate on the level grid: a vector hits a core iff some
 component reaches that core's witness level (the smallest level strictly
-above the core's entry).  The exact search is a depth-first branch and bound
-over cores with a disjoint-residual lower bound; it replaces an external 0/1
-IP solver.
+above the core's entry).  The exact search, which replaces an external 0/1
+IP solver, is a depth-first branch and bound over cores.  Its bound is a
+greedy dual ascent on the covering LP of a node's unhit cores; being
+admissible, it changes the node count, never the result.
 
 The branch and bound runs on an explicit stack, so its depth is not limited
 by Python's recursion limit.  Each node carries, for every core it has not
 hit yet, the cheapest increment that would hit it.  A child raises one
 component, which changes only that component's term, so it updates these
-deltas in the same pass that filters its parent's unhit cores: a node costs
-time linear in its unhit cores.  The search polls the problem's deadline
-every 1024 nodes and raises ``SolveDeadlineExceeded`` once it has passed.
+deltas in the same pass that filters its parent's unhit cores.  Two screens
+spare the ascent: that pass prunes the child at the first delta above its
+slack (the limit minus its cost), and the ascent, which never exceeds the
+sum of the deltas, runs only when that sum exceeds the slack.  The search
+polls the deadline every 1024 nodes and raises ``SolveDeadlineExceeded``
+once it has passed.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from collections import Counter
 from itertools import chain
-from operator import neg
+from math import inf
 from typing import Iterable
 
 from .encoding import SolveDeadlineExceeded
@@ -44,9 +49,9 @@ class HittingProblem:
     """A level space plus the cores to hit, with per-core witness tables.
 
     A run owns one problem and grows it with ``add`` as it finds cores; every
-    hitting-vector call reads that same object.  ``witnesses[c]`` maps each
-    component where core ``c`` is below its maximum to the core's witness
-    level there, and ``masks[c]`` has a bit set for each of those components.
+    hitting-vector call reads that same object.  ``witnesses[c]`` holds a
+    ``(component, level)`` pair for each component where core ``c`` is below
+    its maximum, with the core's witness level there, by ascending component.
     ``columns[i][c]`` is the witness level of core ``c`` at component ``i``,
     or, where there is none, a value above every level whose distance to any
     level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
@@ -62,23 +67,21 @@ class HittingProblem:
         self.nodes = 0
         self.insertions = 0
         self.cores: list[CostVector] = []
-        self.witnesses: list[dict[int, int]] = []
-        self.masks: list[int] = []
+        self.witnesses: list[tuple[tuple[int, int], ...]] = []
         self.columns: list[list[int]] = [[] for _ in space.levels]
         self._none = 2 * max(space.maximum, default=0) - min(space.baseline, default=0) + 1
         for k in cores:
             self._append(tuple(k))
 
     def _append(self, k: CostVector) -> None:
-        ws = {}
+        ws = []
         for i, (v, column) in enumerate(zip(k, self.columns)):
             wl = self.space.above(i, v)
             column.append(self._none if wl is None else wl)
             if wl is not None:
-                ws[i] = wl
+                ws.append((i, wl))
         self.cores.append(k)
-        self.witnesses.append(ws)
-        self.masks.append(sum(1 << i for i in ws))
+        self.witnesses.append(tuple(ws))
 
     def add(self, k: CostVector) -> bool:
         """Store ``k`` unless a stored core dominates it, and drop the stored
@@ -91,15 +94,14 @@ class HittingProblem:
         if len(keep) < len(self.cores):
             self.cores = [self.cores[c] for c in keep]
             self.witnesses = [self.witnesses[c] for c in keep]
-            self.masks = [self.masks[c] for c in keep]
             self.columns = [[column[c] for c in keep] for column in self.columns]
         self._append(k)
         self.insertions += 1
         return True
 
     def _check_hittable(self) -> None:
-        if 0 in self.masks:
-            k = self.cores[self.masks.index(0)]
+        if () in self.witnesses:
+            k = self.cores[self.witnesses.index(())]
             raise Unhittable(f"core {k} is at the maximum level everywhere")
 
     def _unhit(self, h: CostVector) -> list[int]:
@@ -107,23 +109,58 @@ class HittingProblem:
         return [c for c, k in enumerate(self.cores) if all(a <= b for a, b in zip(h, k))]
 
 
-def _bound_exceeds(slack: int, unhit: list[int], deltas: list[int], masks: list[int]) -> bool:
-    """Whether the admissible residual bound exceeds ``slack``.  The bound
-    sums the cheapest increments of a greedily packed set of unhit cores with
-    pairwise-disjoint witness components, taken by decreasing increment,
-    then by index.  The first core taken has the largest increment."""
-    if max(deltas) > slack:
-        return True
-    used = 0
+def _dual_bound(
+    cap: int,
+    unhit: list[int],
+    deltas: list[int],
+    h: list[int],
+    witnesses: list[tuple[tuple[int, int], ...]],
+) -> int:
+    """A lower bound on the increment that hits every core of ``unhit`` from
+    ``h``, by greedy dual ascent on the covering LP; ``deltas[k]`` is the
+    cheapest raise that hits core ``unhit[k]``.  It stops and returns as soon
+    as the bound exceeds ``cap``.
+
+    The cores get weights ``u_c >= 0`` in ``unhit``'s order, each charged at
+    every witness ``(i, w)`` of its core, and the weights charged at
+    component ``i`` at levels up to ``l`` never sum to more than ``l - h[i]``.
+    A vector ``v >= h`` that hits every core hits each at some witness with
+    ``v[i] >= w``, so the cores it hits at ``i`` weigh at most ``v[i] - h[i]``
+    together, and ``sum(u_c)`` is at most ``cost(v) - cost(h)``.  Each core
+    takes the most its witnesses leave: at witness ``(i, w)``, the smallest
+    ``l - h[i] - load`` over ``l = w`` and the levels above ``w`` charged at
+    ``i``, where ``load`` sums the charges at ``i`` up to ``l``.  Where
+    nothing is charged that is ``w - h[i]``, so the weight is at most the
+    core's delta, and the sum of the deltas bounds the ascent."""
+    charged: list = [()] * len(h)  # per component, its (level, u) charges by ascending level
     bound = 0
-    for neg_delta, c in sorted(zip(map(neg, deltas), unhit)):
-        mask = masks[c]
-        if not used & mask:
-            used |= mask
-            bound -= neg_delta
-            if bound > slack:
-                return True
-    return False
+    for c, u in zip(unhit, deltas):
+        ws = witnesses[c]
+        for i, w in ws:
+            entries = charged[i]
+            if entries:  # else the slack here is w - h[i], at least c's delta
+                low = w
+                load = 0
+                for level, charge in entries:
+                    load += charge
+                    room = (level if level > w else w) - load
+                    if room < low:
+                        low = room
+                low -= h[i]
+                if low < u:
+                    u = low
+                    if u <= 0:
+                        break
+        if u > 0:
+            bound += u
+            if bound > cap:
+                return bound
+            for i, w in ws:
+                if charged[i]:
+                    insort(charged[i], (w, u))
+                else:
+                    charged[i] = [(w, u)]
+    return bound
 
 
 def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVector | None:
@@ -133,15 +170,22 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     the minimum-cost vector, ties broken toward the lexicographically
     smallest.  Branches on the unhit core with the fewest witness
     components (then the smallest index), trying its witness raises by
-    increasing increment, then component."""
+    increasing increment, then component.
+
+    Once a limit exists, a child is pruned while it is built if one unhit
+    core's delta exceeds its slack below the limit; a node whose deltas sum
+    to more than its slack is pruned if the dual ascent ``_dual_bound`` does
+    too.  Both bounds are admissible: every node on the way to the result
+    survives, and only the node count depends on them."""
     problem._check_hittable()
-    witnesses, masks, columns = problem.witnesses, problem.masks, problem.columns
-    width = [len(ws) for ws in witnesses]
+    witnesses, columns = problem.witnesses, problem.columns
     deadline = problem.deadline
     h = list(problem.space.baseline)
     cost = sum(h)
-    unhit = problem._unhit(h)
-    deltas = [min(wl - h[i] for i, wl in witnesses[c].items()) for c in unhit]
+    # unhit lists stay in (witness count, index) order: the branch core
+    # comes first, and the dual ascent serves the narrowest cores first
+    unhit: list[int] | None = sorted(problem._unhit(h), key=lambda c: len(witnesses[c]))
+    deltas = [min(wl - h[i] for i, wl in witnesses[c]) for c in unhit]
     best: CostVector | None = None
     visited: set[CostVector] = set()
     stack = []  # expanded nodes: (untried branches, cheapest last; cost; unhit; deltas; vector)
@@ -151,7 +195,9 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
             nodes += 1
             if not nodes & _POLL_MASK and deadline is not None and time.perf_counter() > deadline:
                 raise SolveDeadlineExceeded
-            if not unhit:
+            if unhit is None:  # pruned while built: a delta exceeded the slack
+                pass
+            elif not unhit:
                 vec = tuple(h)
                 if limit is None or cost < limit or (
                     cost == limit and (best is None or vec < best)
@@ -159,13 +205,16 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
                     limit, best = cost, vec
                     if first:
                         return best
-            elif limit is None or not _bound_exceeds(limit - cost, unhit, deltas, masks):
+            elif (
+                limit is None
+                or sum(deltas) <= limit - cost
+                or _dual_bound(limit - cost, unhit, deltas, h, witnesses) <= limit - cost
+            ):
                 state = tuple(h)
                 if state not in visited:  # the same vector is reachable by permuted raises
                     visited.add(state)
-                    pick = min(unhit, key=width.__getitem__)  # unhit is ascending
                     branches = sorted(
-                        ((wl - h[i], i, wl) for i, wl in witnesses[pick].items()), reverse=True
+                        ((wl - h[i], i, wl) for i, wl in witnesses[unhit[0]]), reverse=True
                     )
                     stack.append((branches, cost, unhit, deltas, state))
             # Next, the cheapest untried branch of the deepest expanded node.  A
@@ -182,15 +231,21 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
             h[:] = state
             h[i] = wl
             cost = parent_cost + step
+            slack = inf if limit is None else limit - cost
             column = columns[i]
             unhit = []
             deltas = []
             for c, d in zip(parent_unhit, parent_deltas):
                 w = column[c]
                 if w > wl:  # core c's entry at i is at least wl, so c stays unhit
-                    unhit.append(c)
                     w -= wl
-                    deltas.append(w if w < d else d)
+                    if w < d:
+                        d = w
+                    if d > slack:
+                        unhit = None
+                        break
+                    unhit.append(c)
+                    deltas.append(d)
     finally:
         problem.nodes += nodes
 
@@ -221,7 +276,7 @@ def greedy_hv(problem: HittingProblem) -> CostVector:
     while unhit:
         # raising component i to wl newly hits the unhit cores whose witness
         # level at i is at most wl
-        counts = Counter(chain.from_iterable(witnesses[c].items() for c in unhit))
+        counts = Counter(chain.from_iterable(witnesses[c] for c in unhit))
         best = None
         component = None
         for i, wl in sorted(counts):

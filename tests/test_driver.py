@@ -161,7 +161,7 @@ def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
             report = solve(w, cfg)
             [problem] = built
             rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
-            for table in ("cores", "witnesses", "masks", "columns"):
+            for table in ("cores", "witnesses", "columns"):
                 assert getattr(problem, table) == getattr(rebuilt, table)
             # the antichain rules, replayed: survivors keep their order
             expected = []

@@ -27,6 +27,14 @@ def _level_space(w):
     return itertools.product(*(f.levels for f in w.cost_functions))
 
 
+def test_oversized_default_table_is_refused():
+    # 2**21 - 1 unlisted tuples above the baseline would each need a clause
+    f = make_cost_function(tuple(range(21)), 1, {(0,) * 21: 0}, (2,) * 21)
+    w = WcspInstance("wide", (2,) * 21, (), (f,), 10)
+    with pytest.raises(ValueError, match=r"cost function 0 .* 2097151 unlisted tuples"):
+        InducedCspEncoding(w)
+
+
 def test_single_var_bound_forces_value():
     f = make_cost_function((0,), 0, {(1,): 1}, (2,))
     w = WcspInstance("unary", (2,), (), (f,), 10)

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihswcsp import SolverConfig, solve
 from ihswcsp.encoding import SolveDeadlineExceeded
 from ihswcsp.hitting import (
     HittingProblem,
     LevelSpace,
     Unhittable,
+    _dual_bound,
     cost_bounded_hv,
     greedy_hv,
     min_cost_hv,
 )
 from ihswcsp.model import cost
+from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
 from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
 
@@ -131,6 +134,44 @@ def test_randomized_against_enumeration():
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
 
 
+def test_dual_bound_is_admissible():
+    # at a vector h that leaves cores unhit, the dual value never exceeds
+    # the cheapest raise of h that hits them all, in any core order
+    rng = random.Random(12)
+    checked = tight = 0
+    for _ in range(1000):
+        levels = random_level_space(rng)
+        cores = random_cores(rng, levels)
+        h = [rng.choice(ls) for ls in levels]
+        above = [tuple(v for v in ls if v >= hi) for ls, hi in zip(levels, h)]
+        best, _ = enumerate_hitting(above, cores)
+        problem = _problem(levels, cores)
+        unhit = problem._unhit(h)
+        if best is None or not unhit:
+            continue
+        rng.shuffle(unhit)
+        witnesses = problem.witnesses
+        deltas = [min(w - h[i] for i, w in witnesses[c]) for c in unhit]
+        bound = _dual_bound(1 << 30, unhit, deltas, h, witnesses)
+        assert max(deltas) <= best - cost(h)
+        assert deltas[0] <= bound <= best - cost(h)
+        # capped below its value, it stops early but still reads above the cap
+        assert _dual_bound(bound - 1, unhit, deltas, h, witnesses) > bound - 1
+        checked += 1
+        tight += bound == best - cost(h)
+    assert checked > 250 and 0 < tight < checked
+
+
+def test_branch_and_bound_node_ceiling():
+    # the dual-ascent bound needs 6,524 nodes here and a greedy packing of
+    # cores with disjoint witness components 14,420, so a bound that
+    # silently weakens fails this
+    w = gen_uniform(GeneratorParams(9, 3, 18, 4, 6, seed=1))
+    report = solve(w, SolverConfig(hv="lb", core="maximal"))
+    assert report.optimum == 103
+    assert report.hv_nodes < 10_000
+
+
 def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
     levels = [(0, 1, 2, 3)] * 3
     p = _problem(levels, [])
@@ -142,7 +183,7 @@ def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
     assert p.cores == [(1, 0, 3), (2, 1, 0), (1, 2, 0)]
     assert p.insertions == 4
     rebuilt = _problem(levels, p.cores)
-    for table in ("cores", "witnesses", "masks", "columns"):
+    for table in ("cores", "witnesses", "columns"):
         assert getattr(p, table) == getattr(rebuilt, table)
     assert min_cost_hv(p) == min_cost_hv(rebuilt) == enumerate_hitting(levels, p.cores)[1]
     assert p.add((3, 3, 3))  # dominates every core; the search, not add, refuses it
