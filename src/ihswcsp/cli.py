@@ -204,6 +204,9 @@ def _bench_one(task: tuple[str, SolverConfig]) -> dict[str, object]:
 
 
 def _cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     root = Path(args.instance)
     if root.is_dir():
         paths = sorted(str(p) for p in root.glob("*.wcsp"))
@@ -221,8 +224,9 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tasks = [(path, cfg) for path in paths for cfg in matrix]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_bench_one, tasks)
     else:
         rows = [_bench_one(t) for t in tasks]

@@ -11,7 +11,11 @@ component reaches that core's witness level (the smallest level strictly
 above the core's entry).  The exact search, which replaces an external 0/1
 IP solver, is a depth-first branch and bound over cores.  Its bound is a
 greedy dual ascent on the covering LP of a node's unhit cores; being
-admissible, it changes the node count, never the result.
+admissible, it changes the node count, never the result.  The minimum-cost
+search branches on the unhit core that is dearest to hit (the largest
+cheapest raise, fail first); the cost-bounded search, whose answer is the
+first leaf it reaches, branches on the unhit core with the fewest witness
+components.  Neither rule changes the minimum-cost result (see ``_search``).
 
 The branch and bound runs on an explicit stack, so its depth is not limited
 by Python's recursion limit.  Each node carries, for every core it has not
@@ -168,9 +172,22 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     means no bound).  With ``first`` it returns the first such leaf;
     otherwise each leaf tightens ``limit`` to its own cost and the result is
     the minimum-cost vector, ties broken toward the lexicographically
-    smallest.  Branches on the unhit core with the fewest witness
-    components (then the smallest index), trying its witness raises by
-    increasing increment, then component.
+    smallest.  Without ``first`` it branches on the unhit core with the
+    largest delta, the cheapest raise that hits it (fail first: each child
+    pays at least that delta, so the bound cuts the children soonest);
+    with ``first`` on the unhit core with the fewest witness components.
+    Ties go to the first core in (witness count, index) order, and a
+    core's witness raises are tried by increasing increment, then
+    component.  With ``first`` that order picks the leaf returned, so it is
+    part of the result.
+
+    Without ``first`` the branch core does not change the result.  Take an
+    optimal ``v*`` and a node ``h <= v*``: ``v*`` hits the branch core at
+    some witness ``(i, w)`` with ``w <= v*[i]``, so one child of ``h`` stays
+    below ``v*``.  The bounds below are admissible, so every optimal vector
+    is reached and the lexicographically smallest one is returned.  This
+    holds for any branch core that is a function of ``h`` alone, as the
+    ``visited`` set requires, and the deltas and the unhit order are.
 
     Once a limit exists, a child is pruned while it is built if one unhit
     core's delta exceeds its slack below the limit; a node whose deltas sum
@@ -182,8 +199,8 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     deadline = problem.deadline
     h = list(problem.space.baseline)
     cost = sum(h)
-    # unhit lists stay in (witness count, index) order: the branch core
-    # comes first, and the dual ascent serves the narrowest cores first
+    # unhit lists stay in (witness count, index) order: it breaks branch
+    # core ties, and the dual ascent serves the narrowest cores first
     unhit: list[int] | None = sorted(problem._unhit(h), key=lambda c: len(witnesses[c]))
     deltas = [min(wl - h[i] for i, wl in witnesses[c]) for c in unhit]
     best: CostVector | None = None
@@ -213,9 +230,8 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
                 state = tuple(h)
                 if state not in visited:  # the same vector is reachable by permuted raises
                     visited.add(state)
-                    branches = sorted(
-                        ((wl - h[i], i, wl) for i, wl in witnesses[unhit[0]]), reverse=True
-                    )
+                    c = unhit[0] if first else unhit[deltas.index(max(deltas))]
+                    branches = sorted(((wl - h[i], i, wl) for i, wl in witnesses[c]), reverse=True)
                     stack.append((branches, cost, unhit, deltas, state))
             # Next, the cheapest untried branch of the deepest expanded node.  A
             # branch that raises the cost above the limit would give a rejected

@@ -228,6 +228,41 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert rows_without_times(serial) == rows_without_times(parallel)
 
 
+def test_bench_jobs_bounds(tmp_path, capsys, monkeypatch):
+    import ihswcsp.cli as cli
+
+    sizes = []
+
+    class SerialPool:  # records the requested size and starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    fam = tmp_path / "fam"
+    assert main(["generate", "--class", "uniform", "--params", "5,2,4,1,3",
+                 "--count", "1", "--out", str(fam), "--seed", "4"]) == 0
+    out = tmp_path / "rows.csv"
+    for jobs in ("0", "-2"):
+        assert main(["bench", "--instance", str(fam), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists() and sizes == []
+    # one instance under a three-configuration matrix is three runs
+    bench = ["bench", "--instance", str(fam), "--out", str(out), "--matrix"]
+    assert main(bench + ["hv=lb,ub,grd-lb;core=lazy;merge=off", "--jobs", "1000"]) == 0
+    assert sizes == [3]
+    assert main(bench + ["hv=lb;core=lazy;merge=off", "--jobs", "8"]) == 0
+    assert sizes == [3]  # a single run needs no pool
+
+
 def _mk_row(instance, hv, core, merge, status, time_ms, core_size):
     return {
         "instance": instance, "hv": hv, "core": core, "merge": merge,

@@ -18,7 +18,7 @@ from ihswcsp.hitting import (
     min_cost_hv,
 )
 from ihswcsp.model import cost
-from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
+from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform
 from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
 
@@ -134,6 +134,24 @@ def test_randomized_against_enumeration():
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
 
 
+def test_min_cost_tie_break_on_many_cores():
+    # few small levels make equal costs common (about half of these problems
+    # have several optimal vectors), and 15-40 cores leave the branch core
+    # rules many unhit cores to choose from; the result must still be the
+    # lexicographically smallest optimum
+    rng = random.Random(7)
+    for _ in range(60):
+        levels = tuple(
+            tuple(sorted(rng.sample(range(6), rng.randint(2, 4))))
+            for _ in range(rng.randint(7, 9))
+        )
+        cores = [tuple(rng.choice(ls) for ls in levels) for _ in range(rng.randint(15, 40))]
+        expected_cost, expected_vec = enumerate_hitting(levels, cores)
+        if expected_cost is None:
+            continue
+        assert min_cost_hv(_problem(levels, cores)) == expected_vec
+
+
 def test_dual_bound_is_admissible():
     # at a vector h that leaves cores unhit, the dual value never exceeds
     # the cheapest raise of h that hits them all, in any core order
@@ -163,12 +181,23 @@ def test_dual_bound_is_admissible():
 
 
 def test_branch_and_bound_node_ceiling():
-    # the dual-ascent bound needs 6,524 nodes here and a greedy packing of
-    # cores with disjoint witness components 14,420, so a bound that
-    # silently weakens fails this
+    # the dual-ascent bound, branching on the unhit core with the largest
+    # cheapest raise, needs 3,003 nodes here; branching on the core with the
+    # fewest witness components takes 6,524, and a greedy packing of cores
+    # with disjoint witness components in place of the ascent 14,420, so a
+    # bound or a branching rule that silently weakens fails this
     w = gen_uniform(GeneratorParams(9, 3, 18, 4, 6, seed=1))
     report = solve(w, SolverConfig(hv="lb", core="maximal"))
     assert report.optimum == 103
+    assert report.hv_nodes < 4_500
+
+
+def test_branch_and_bound_node_ceiling_scale_free():
+    # 6,919 nodes; branching on the core with the fewest witness components
+    # takes 21,867
+    w = gen_scale_free(GeneratorParams(16, 3, 2, 3, 6, seed=1))
+    report = solve(w, SolverConfig(hv="lb", core="maximal", merge=False))
+    assert report.optimum == 86
     assert report.hv_nodes < 10_000
 
 
