@@ -172,6 +172,10 @@ def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
             if key not in dims:
                 raise ValueError(f"unknown matrix dimension {key!r}")
             dims[key] = [v.strip() for v in values.split(",") if v.strip()]
+            if not dims[key]:
+                raise ValueError(f"matrix dimension {key!r} has no value")
+            if len(set(dims[key])) < len(dims[key]):
+                raise ValueError(f"matrix dimension {key!r} repeats a value")
     for key in ("merge", "disjoint"):
         for v in dims[key]:
             if v not in ("on", "off"):
@@ -218,9 +222,11 @@ def _cmd_bench(args) -> int:
     if not paths:
         print(f"error: no .wcsp files under {root}", file=sys.stderr)
         return 1
+    out = Path(args.out)
     try:
         matrix = parse_matrix(args.matrix, time_limit=args.timeout)
-    except ValueError as exc:
+        out.parent.mkdir(parents=True, exist_ok=True)  # before any solve
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tasks = [(path, cfg) for path in paths for cfg in matrix]
@@ -231,12 +237,14 @@ def _cmd_bench(args) -> int:
     else:
         rows = [_bench_one(t) for t in tasks]
     rows.sort(key=lambda r: (r["instance"], r["hv"], r["core"], r["merge"], r["disjoint"]))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with out.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -250,18 +258,40 @@ def _benchmark_of(instance: str) -> str:
     return head if head else instance
 
 
-def _config_key(row: dict[str, str]) -> tuple[str, str, str, str]:
-    return (row["hv"], row["core"], row["merge"], row["disjoint"])
-
-
-def _config_label(cfg: tuple[str, str, str, str]) -> str:
-    hv, core, merge, disjoint = cfg
+def _config_label(core: str, merge: str, disjoint: str) -> str:
     label = core
     if merge == "on":
         label += "+merge"
     if disjoint == "on":
         label += "+disjoint"
     return label
+
+
+def _config_stats(
+    rows: list[dict[str, str]], kind: str, timeout: float, timeout_mode: str
+) -> dict[tuple[str, str, str, str], tuple[float | None, int]]:
+    """Each (hv, core, merge, disjoint) configuration's (mean, unsolved) over
+    one benchmark's rows, in one pass.  core-ratio averages the recorded
+    core-set sizes; the other kinds average the solved runs' times plus, under
+    clamp, ``timeout`` seconds per timed-out run.  The mean is None when no
+    run counts."""
+    values: dict[tuple[str, str, str, str], list[float]] = {}
+    unsolved: dict[tuple[str, str, str, str], int] = {}
+    for row in rows:
+        cfg = (row["hv"], row["core"], row["merge"], row["disjoint"])
+        cfg_values = values.setdefault(cfg, [])
+        solved = row["status"] == "optimal"
+        unsolved[cfg] = unsolved.get(cfg, 0) + (not solved)
+        if kind == "core-ratio":
+            if row["core_set_size"] != "":
+                cfg_values.append(float(row["core_set_size"]))
+        elif solved:
+            cfg_values.append(float(row["total_time_ms"]) / 1000.0)
+        elif timeout_mode == "clamp" and row["status"] == "timeout":
+            cfg_values.append(timeout)
+    return {
+        cfg: (sum(v) / len(v) if v else None, unsolved[cfg]) for cfg, v in values.items()
+    }
 
 
 def render_table(
@@ -281,93 +311,42 @@ def render_table(
 
     out: list[str] = []
     for bench in sorted(benchmarks):
-        brows = benchmarks[bench]
-        if kind == "speedup":
-            out.extend(_render_speedup(bench, brows, timeout, timeout_mode))
-            continue
-        stats: dict[tuple[str, str, str, str], tuple[float | None, int]] = {}
-        for cfg, cfg_rows in _group_by_config(brows).items():
-            stats[cfg] = _aggregate(cfg_rows, kind, timeout, timeout_mode)
-        means = [m for m, _ in stats.values() if m is not None]
-        best = min(means) if means else None
-        hvs = sorted({cfg[0] for cfg in stats}, key=HV_STRATEGIES.index)
-        row_keys = sorted({(cfg[1], cfg[2], cfg[3]) for cfg in stats})
+        stats = _config_stats(benchmarks[bench], kind, timeout, timeout_mode)
         out.append(f"# benchmark: {bench}  kind={kind}  timeout-mode={timeout_mode}")
+        if kind == "speedup":
+            best: dict[str, float] = {}
+            for (_, _, merge, _), (mean, _) in stats.items():
+                if mean is not None:
+                    best[merge] = min(mean, best.get(merge, mean))
+            if "on" in best and "off" in best and best["on"] > 0:
+                out.append(f"speedup = {best['off'] / best['on']:.2f}  (best-off {best['off']:.3f}s / best-on {best['on']:.3f}s)")
+            else:
+                out.append("speedup = -  (needs solved runs with merge on and off)")
+            out.append("")
+            continue
+        means = [m for m, _ in stats.values() if m is not None]
+        best_mean = min(means) if means else None
+        hvs = sorted({cfg[0] for cfg in stats}, key=HV_STRATEGIES.index)
         header = ["config".ljust(24)] + [hv.rjust(14) for hv in hvs]
         out.append(" ".join(header))
-        for core, merge, disjoint in row_keys:
-            label = _config_label(("", core, merge, disjoint))
-            cells = [label.ljust(24)]
+        for core, merge, disjoint in sorted({cfg[1:] for cfg in stats}):
+            cells = [_config_label(core, merge, disjoint).ljust(24)]
             for hv in hvs:
-                cfg = (hv, core, merge, disjoint)
-                if cfg not in stats:
-                    cells.append("-".rjust(14))
-                    continue
-                mean, unsolved = stats[cfg]
-                if mean is None or best is None:
-                    cells.append(f"- ({unsolved})".rjust(14))
+                mean, unsolved = stats.get((hv, core, merge, disjoint), (None, None))
+                if unsolved is None:
+                    cell = "-"
+                elif mean is None:
+                    cell = f"- ({unsolved})"
+                elif mean == best_mean:
+                    cell = f"1.00 ({unsolved})"
+                elif best_mean > 0:
+                    cell = f"{mean / best_mean:.2f} ({unsolved})"
                 else:
-                    if mean == best:
-                        ratio = 1.0
-                    elif best > 0:
-                        ratio = mean / best
-                    else:
-                        ratio = float("inf")
-                    cells.append(f"{ratio:.2f} ({unsolved})".rjust(14))
+                    cell = f"inf ({unsolved})"
+                cells.append(cell.rjust(14))
             out.append(" ".join(cells))
         out.append("")
     return "\n".join(out)
-
-
-def _group_by_config(rows: list[dict[str, str]]):
-    grouped: dict[tuple[str, str, str, str], list[dict[str, str]]] = {}
-    for row in rows:
-        grouped.setdefault(_config_key(row), []).append(row)
-    return grouped
-
-
-def _aggregate(
-    rows: list[dict[str, str]], kind: str, timeout: float, timeout_mode: str
-) -> tuple[float | None, int]:
-    values: list[float] = []
-    unsolved = 0
-    for row in rows:
-        solved = row["status"] == "optimal"
-        if not solved:
-            unsolved += 1
-        if kind == "core-ratio":
-            if row["core_set_size"] != "":
-                values.append(float(row["core_set_size"]))
-            continue
-        if solved:
-            values.append(float(row["total_time_ms"]) / 1000.0)
-        elif timeout_mode == "clamp" and row["status"] == "timeout":
-            values.append(timeout)
-    if not values:
-        return None, unsolved
-    return sum(values) / len(values), unsolved
-
-
-def _render_speedup(
-    bench: str, rows: list[dict[str, str]], timeout: float, timeout_mode: str
-) -> list[str]:
-    best: dict[str, float] = {}
-    for merge in ("on", "off"):
-        means = [
-            _aggregate(cfg_rows, "time-ratio", timeout, timeout_mode)[0]
-            for cfg, cfg_rows in _group_by_config(rows).items()
-            if cfg[2] == merge
-        ]
-        means = [m for m in means if m is not None]
-        if means:
-            best[merge] = min(means)
-    out = [f"# benchmark: {bench}  kind=speedup  timeout-mode={timeout_mode}"]
-    if "on" in best and "off" in best and best["on"] > 0:
-        out.append(f"speedup = {best['off'] / best['on']:.2f}  (best-off {best['off']:.3f}s / best-on {best['on']:.3f}s)")
-    else:
-        out.append("speedup = -  (needs solved runs with merge on and off)")
-    out.append("")
-    return out
 
 
 def _cmd_table(args) -> int:
@@ -379,13 +358,15 @@ def _cmd_table(args) -> int:
                 print("error: CSV schema mismatch", file=sys.stderr)
                 return 1
             rows = list(reader)
+        text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
+        if args.out:
+            out = Path(args.out)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
     return 0
 
 

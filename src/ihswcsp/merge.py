@@ -73,10 +73,9 @@ def min_fill_order(
 @dataclass(frozen=True)
 class MergedProblem:
     """The merged view of an instance: ``view`` is a regular WcspInstance
-    whose cost functions are the merged clusters, sharing the base instance's
+    whose cost functions are the merged clusters, sharing the instance's
     variables and hard constraints."""
 
-    base: WcspInstance
     clusters: tuple[tuple[int, ...], ...]
     view: WcspInstance
     merged_clusters: int
@@ -168,4 +167,4 @@ def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
         top,
         w.constant_offset,
     )
-    return MergedProblem(w, tuple(final_groups), view, merged_count, split_count)
+    return MergedProblem(tuple(final_groups), view, merged_count, split_count)

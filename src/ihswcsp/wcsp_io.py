@@ -263,18 +263,18 @@ def gen_scale_free(p: GeneratorParams) -> WcspInstance:
 # brute-force oracles
 
 
-def brute_force_optimum(w: WcspInstance, limit: int = ENUMERATION_CAP) -> int | None:
+def brute_force_optimum(w: WcspInstance) -> int | None:
     """Exhaustive optimum over all assignments (vectorized enumeration).
 
     Returns the minimum total cost of a feasible assignment (including the
     constant offset) or None when the instance is infeasible.  Raises
-    EnumerationCapExceeded when the assignment space exceeds ``limit``.
+    EnumerationCapExceeded when the assignment space exceeds ENUMERATION_CAP.
     """
     n = w.num_vars
     total_assignments = prod(w.domains) if n else 1
-    if total_assignments > limit:
+    if total_assignments > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{total_assignments} assignments exceed the cap of {limit}"
+            f"{total_assignments} assignments exceed the cap of {ENUMERATION_CAP}"
         )
     if n == 0:
         feasible, _, tot = evaluate(w, ())

@@ -100,6 +100,10 @@ def test_parse_matrix_full_and_restricted():
         parse_matrix("core=warp")
     with pytest.raises(ValueError):
         parse_matrix("speed=high")
+    with pytest.raises(ValueError):
+        parse_matrix("hv=")
+    with pytest.raises(ValueError):
+        parse_matrix("hv=lb,lb")
 
 
 # the bench CSV header and the keys solve prints, in order, as released
@@ -263,6 +267,37 @@ def test_bench_jobs_bounds(tmp_path, capsys, monkeypatch):
     assert sizes == [3]  # a single run needs no pool
 
 
+def test_bench_out_failure_runs_no_solve(toy_path, tmp_path, capsys, monkeypatch):
+    import ihswcsp.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda instance, cfg: calls.append(cfg))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out = blocker / "sub" / "rows.csv"
+    assert main(["bench", "--instance", str(toy_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    # an empty or repeated matrix value is refused before any solve too
+    for matrix in ("hv=", "hv=lb,lb"):
+        assert main(["bench", "--instance", str(toy_path), "--out", str(tmp_path / "rows.csv"),
+                     "--matrix", matrix]) == 1
+        assert capsys.readouterr().err.startswith("error: matrix dimension 'hv' ")
+    assert calls == [] and not (tmp_path / "rows.csv").exists()
+
+
+def test_table_out_creates_parent(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(GOLDEN_CSV)
+    out = tmp_path / "new" / "t.txt"
+    assert main(["table", "--csv", str(rows), "--kind", "speedup", "--timeout", "60", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    blocked = tmp_path / "rows.csv" / "t.txt"  # the parent is a regular file
+    assert main(["table", "--csv", str(rows), "--out", str(blocked)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def _mk_row(instance, hv, core, merge, status, time_ms, core_size):
     return {
         "instance": instance, "hv": hv, "core": core, "merge": merge,
@@ -328,3 +363,64 @@ def test_table_reads_csv_of_older_schema(tmp_path, capsys):
         writer.writerows(rows)
     assert main(["table", "--csv", str(old), "--kind", "time-ratio", "--timeout", "60"]) == 0
     assert "2.50 (0)" in capsys.readouterr().out
+
+
+# two benchmarks: merge on and off, one disjoint=on configuration, optimal,
+# timeout and error rows (an error row has no core_set_size), a configuration
+# missing under one hv, all-unsolved configurations, and a benchmark (beta)
+# without any merge-on run
+GOLDEN_CSV = """\
+instance,hv,core,merge,disjoint,status,total_time_ms,core_set_size
+alpha_1,lb,maximal,off,off,optimal,1200,5
+alpha_2,lb,maximal,off,off,optimal,800,3
+alpha_1,ub,maximal,off,off,optimal,2000,6
+alpha_2,ub,maximal,off,off,timeout,9000,9
+alpha_1,lb,maximal,on,off,optimal,500,2
+alpha_2,lb,maximal,on,off,optimal,700,4
+alpha_1,ub,maximal,on,off,error,,
+alpha_2,ub,maximal,on,off,optimal,600,3
+alpha_1,lb,lazy,off,off,timeout,9000,7
+alpha_2,lb,lazy,off,off,error,,
+alpha_1,lb,lazy,on,on,optimal,300,2
+alpha_1,ub,lazy,on,on,optimal,450,2
+beta_1,lb,maximal,off,off,optimal,1500,4
+beta_1,ub,maximal,off,off,optimal,1000,4
+beta_1,grd-lb,partial-max,off,off,timeout,9000,8
+beta_1,grd-ub,lazy,off,off,error,,
+"""
+
+GOLDEN_TIME_RATIO_EXCLUDE = """\
+# benchmark: alpha  kind=time-ratio  timeout-mode=exclude
+config                               lb             ub
+lazy                              - (2)              -
+lazy+merge+disjoint            1.00 (0)       1.50 (0)
+maximal                        3.33 (0)       6.67 (1)
+maximal+merge                  2.00 (0)       2.00 (1)
+
+# benchmark: beta  kind=time-ratio  timeout-mode=exclude
+config                               lb             ub         grd-lb         grd-ub
+lazy                                  -              -              -          - (1)
+maximal                        1.50 (0)       1.00 (0)              -              -
+partial-max                           -              -          - (1)              -
+"""
+
+# sha256 of render_table's text on GOLDEN_CSV at timeout 60
+GOLDEN_DIGESTS = {
+    ("time-ratio", "clamp"): "c5624afca91092ce41ee480d00f43c51bb659dfe56f1d00edcc104fd4555475f",
+    ("time-ratio", "exclude"): "c65d012bdd0eebfdb5973f4fcbea4444e8efadfb7e5e0f367286b37f688a2b45",
+    ("core-ratio", "clamp"): "e047750c781ea38e4ed5b7108cce0958106a12f4cf1edc16e7c1808999f65833",
+    ("core-ratio", "exclude"): "44dbf2ebc6346f75761987b1036b99f216d93a8e62d9fd5eb7e25dc20443d678",
+    ("speedup", "clamp"): "3371e4d7e07f889591363d4df6038c2abefe855baea734043f13985293b79699",
+    ("speedup", "exclude"): "e1410b631fa64fc2541df8e90834d2f84ec5bb425bce2247ea660ce3bb9f4909",
+}
+
+
+def test_render_table_golden_text():
+    import hashlib
+    import io
+
+    rows = list(csv.DictReader(io.StringIO(GOLDEN_CSV)))
+    assert render_table(rows, "time-ratio", timeout=60, timeout_mode="exclude") == GOLDEN_TIME_RATIO_EXCLUDE
+    for (kind, mode), digest in GOLDEN_DIGESTS.items():
+        text = render_table(rows, kind, timeout=60, timeout_mode=mode)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, mode, text)

@@ -260,10 +260,12 @@ def test_brute_force_infeasible():
 
 
 def test_brute_force_cap():
-    f = make_cost_function((0,), 0, {(1,): 1}, (4, 4, 4, 4))
-    w = WcspInstance("big", (4, 4, 4, 4), (), (f,), 10)
+    # 2^21 assignments exceed ENUMERATION_CAP (2^20): raised before enumerating
+    domains = (2,) * 21
+    f = make_cost_function((0,), 0, {(1,): 1}, domains)
+    w = WcspInstance("big", domains, (), (f,), 10)
     with pytest.raises(EnumerationCapExceeded):
-        brute_force_optimum(w, limit=100)
+        brute_force_optimum(w)
 
 
 def test_brute_force_enumerators_agree():
