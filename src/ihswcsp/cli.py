@@ -164,6 +164,7 @@ def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
         "disjoint": ["off"],
     }
     if spec:
+        named: set[str] = set()
         for part in spec.split(";"):
             if "=" not in part:
                 raise ValueError(f"bad matrix entry {part!r}")
@@ -171,6 +172,9 @@ def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
             key = key.strip()
             if key not in dims:
                 raise ValueError(f"unknown matrix dimension {key!r}")
+            if key in named:
+                raise ValueError(f"matrix dimension {key!r} is named twice")
+            named.add(key)
             dims[key] = [v.strip() for v in values.split(",") if v.strip()]
             if not dims[key]:
                 raise ValueError(f"matrix dimension {key!r} has no value")
@@ -226,6 +230,8 @@ def _cmd_bench(args) -> int:
     try:
         matrix = parse_matrix(args.matrix, time_limit=args.timeout)
         out.parent.mkdir(parents=True, exist_ok=True)  # before any solve
+        if out.is_dir():
+            raise IsADirectoryError(f"--out {out} is a directory")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

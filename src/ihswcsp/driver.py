@@ -4,10 +4,12 @@ One ``_Run`` owns a solve: the induced-CSP encoding, the growing hitting
 problem, the bounds, the incumbent and the counters.  Each iteration asks
 for a hitting vector (exact lower-bound driven, cost-bounded upper-bound
 driven, or greedy with a fallback to either exact flavor after a useless
-greedy iteration), and a refuted vector's lazy core is improved by one of
-four strategies and added.  Cost-function merging may shrink the vector
-space first, and disjoint-core extraction may add further cores after each
-refutation.
+greedy iteration).  A refuted vector goes through one refutation loop,
+``_Run.refute``: its lazy core is improved by one of four strategies and
+added, and with disjoint-core extraction on, the vector is probed again with
+the components of the cores found so far released, each unsatisfiable
+probe's lazy core going round the same loop.  Cost-function merging may
+shrink the vector space first.
 """
 
 from __future__ import annotations
@@ -161,49 +163,41 @@ class _Run:
         return False
 
     def refute(self, h: CostVector, lazy_core: CostVector) -> None:
-        """Improve and add the core that refuted ``h``, then run the disjoint
-        phase if it is on; ``improve_probes`` and ``improve_time`` cover
-        both."""
+        """Turn the lazy core that refuted ``h`` into stored cores: improve
+        it, add it and record any solution its probes found.  With the
+        disjoint phase on, the core's active components (those below their
+        maximum) join ``used``, and ``h`` is probed again with every used
+        component released to its maximum; an unsatisfiable probe's lazy
+        core goes round the same loop.  A lazy core sits at the maximum on
+        every released component and improvement only raises components, so
+        each new core's active components lie outside ``used``.  The loop
+        ends at a satisfiable probe, whose solution is recorded, or at a
+        core with no active component, so within one probe per component.
+        ``improve_probes`` and ``improve_time`` cover the whole loop."""
         t = time.perf_counter()
         before = self.enc.num_solves
-        k = self.improve(lazy_core)
-        if self.cfg.disjoint:
-            self.disjoint_phase(h, k)
-        self.improve_probes += self.enc.num_solves - before
-        self.improve_time += time.perf_counter() - t
-
-    def improve(self, lazy_core: CostVector) -> CostVector:
-        """Improve a lazy core against the incumbent, add it and record any
-        solution the probes found; returns the improved core."""
-        core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
-        self.problem.add(core)
-        self.inserted.append(core)
-        if best is not None:
-            self.record(best)
-        return core
-
-    def disjoint_phase(self, h: CostVector, k: CostVector) -> None:
-        """Disjoint-core extraction after ``h`` was refuted by the core ``k``:
-        re-solve ``h`` with every component active in an earlier core (below
-        its maximum) released to its maximum, and improve and add each
-        conflict.  A lazy core sits at the maximum on every released
-        component and improvement only raises components, so each new core's
-        active set is new.  The phase ends at a satisfiable probe, whose
-        solution is recorded, or at a core with no active component, so
-        within one probe per component."""
         top = self.enc.space.maximum
-        used = {i for i in range(len(k)) if k[i] < top[i]}
+        used: set[int] = set()
         while True:
+            core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
+            self.problem.add(core)
+            self.inserted.append(core)
+            if best is not None:
+                self.record(best)
+            if not self.cfg.disjoint:
+                break
+            active = {i for i in range(len(core)) if core[i] < top[i]}
+            if not active:
+                break
+            used |= active
             probe = tuple(top[i] if i in used else h[i] for i in range(len(h)))
             res = self.enc.solve_induced(probe)
             if isinstance(res, Satisfiable):
                 self.record(res)
-                return
-            k = self.improve(res.lazy_core)
-            active = {i for i in range(len(k)) if k[i] < top[i]}
-            if not active:
-                return
-            used |= active
+                break
+            lazy_core = res.lazy_core
+        self.improve_probes += self.enc.num_solves - before
+        self.improve_time += time.perf_counter() - t
 
     def report(self, status: str) -> RunReport:
         def off(x: int | None) -> int | None:

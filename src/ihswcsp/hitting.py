@@ -4,7 +4,9 @@ and greedy ratio heuristic.
 The core set is a ``HittingProblem``.  A run owns one, and ``add`` grows it
 by one core per step, keeping it an antichain under domination: a core that a
 stored one dominates is refused, and one that is stored drops the cores it
-dominates.  The witness tables grow with it, so no call rebuilds them.
+dominates, in one pass over the stored cores.  The witness tables grow with
+it, so no call rebuilds them.  Cores are level vectors (any other raises
+``ValueError``), so every search starts from the baseline with all unhit.
 
 All three searches operate on the level grid: a vector hits a core iff some
 component reaches that core's witness level (the smallest level strictly
@@ -36,6 +38,7 @@ from bisect import insort
 from collections import Counter
 from itertools import chain
 from math import inf
+from operator import le
 from typing import Iterable
 
 from .encoding import SolveDeadlineExceeded
@@ -61,7 +64,7 @@ class HittingProblem:
     level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
     reading after which the branch and bound gives up; ``nodes`` counts the
     nodes it has visited, and ``insertions`` the cores ``add`` has stored.
-    The constructor stores ``cores`` exactly as given, in order."""
+    The constructor stores the level vectors ``cores`` as given, in order."""
 
     def __init__(
         self, space: LevelSpace, cores: Iterable[CostVector] = (), deadline: float | None = None
@@ -75,31 +78,39 @@ class HittingProblem:
         self.columns: list[list[int]] = [[] for _ in space.levels]
         self._none = 2 * max(space.maximum, default=0) - min(space.baseline, default=0) + 1
         for k in cores:
-            self._append(tuple(k))
+            k = tuple(k)
+            self._append(k, self._above(k))
 
-    def _append(self, k: CostVector) -> None:
-        ws = []
-        for i, (v, column) in enumerate(zip(k, self.columns)):
-            wl = self.space.above(i, v)
+    def _above(self, k: CostVector) -> list[int | None]:
+        """``k``'s witness level at each component, None at its maximum; an
+        entry that is not a level raises ``LevelSpace.index``'s ``ValueError``."""
+        js = [self.space.index(i, v) + 1 for i, v in enumerate(k)]
+        return [ls[j] if j < len(ls) else None for ls, j in zip(self.space.levels, js)]
+
+    def _append(self, k: CostVector, above: list[int | None]) -> None:
+        for wl, column in zip(above, self.columns):
             column.append(self._none if wl is None else wl)
-            if wl is not None:
-                ws.append((i, wl))
         self.cores.append(k)
-        self.witnesses.append(tuple(ws))
+        self.witnesses.append(tuple((i, wl) for i, wl in enumerate(above) if wl is not None))
 
     def add(self, k: CostVector) -> bool:
         """Store ``k`` unless a stored core dominates it, and drop the stored
         cores it dominates; the rest keep their order and ``k`` goes last.
-        Returns whether ``k`` was stored."""
+        Returns whether ``k`` was stored; a refusal or a ``ValueError``
+        changes nothing."""
         k = tuple(k)
-        if self._unhit(k):
-            return False
-        keep = [c for c, old in enumerate(self.cores) if not all(a <= b for a, b in zip(old, k))]
+        above = self._above(k)
+        keep = []
+        for c, old in enumerate(self.cores):
+            if all(map(le, k, old)):
+                return False
+            if not all(map(le, old, k)):
+                keep.append(c)
         if len(keep) < len(self.cores):
             self.cores = [self.cores[c] for c in keep]
             self.witnesses = [self.witnesses[c] for c in keep]
             self.columns = [[column[c] for c in keep] for column in self.columns]
-        self._append(k)
+        self._append(k, above)
         self.insertions += 1
         return True
 
@@ -107,10 +118,6 @@ class HittingProblem:
         if () in self.witnesses:
             k = self.cores[self.witnesses.index(())]
             raise Unhittable(f"core {k} is at the maximum level everywhere")
-
-    def _unhit(self, h: CostVector) -> list[int]:
-        """Indices, ascending, of the cores that dominate ``h``."""
-        return [c for c, k in enumerate(self.cores) if all(a <= b for a, b in zip(h, k))]
 
 
 def _dual_bound(
@@ -201,7 +208,7 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     cost = sum(h)
     # unhit lists stay in (witness count, index) order: it breaks branch
     # core ties, and the dual ascent serves the narrowest cores first
-    unhit: list[int] | None = sorted(problem._unhit(h), key=lambda c: len(witnesses[c]))
+    unhit: list[int] | None = sorted(range(len(witnesses)), key=lambda c: len(witnesses[c]))
     deltas = [min(wl - h[i] for i, wl in witnesses[c]) for c in unhit]
     best: CostVector | None = None
     visited: set[CostVector] = set()
@@ -288,7 +295,7 @@ def greedy_hv(problem: HittingProblem) -> CostVector:
     problem._check_hittable()
     witnesses, columns = problem.witnesses, problem.columns
     h = list(problem.space.baseline)
-    unhit = problem._unhit(h)
+    unhit = list(range(len(witnesses)))
     while unhit:
         # raising component i to wl newly hits the unhit cores whose witness
         # level at i is at most wl

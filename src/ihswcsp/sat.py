@@ -296,23 +296,15 @@ class Solver:
             seen[v] = 0
         return learnt, bt
 
-    def _analyze_final(self, p: int | None, confl: Clause | None) -> set[int]:
-        """Walk the trail from a falsified assumption (or final conflict) and
-        collect the assumption literals it depends on."""
+    def _analyze_final(self, p: int) -> set[int]:
+        """Walk the trail from the falsified assumption ``p`` and collect the
+        assumption literals it depends on."""
         seen, level = self.seen, self.level
         to_clear: list[int] = []
-        out: set[int] = set()
-        if p is not None:
-            out.add(p)
-            if level[p >> 1] > 0:
-                seen[p >> 1] = 1
-                to_clear.append(p >> 1)
-        if confl is not None:
-            for q in confl:
-                v = q >> 1
-                if level[v] > 0 and not seen[v]:
-                    seen[v] = 1
-                    to_clear.append(v)
+        out = {p}
+        if level[p >> 1] > 0:
+            seen[p >> 1] = 1
+            to_clear.append(p >> 1)
         pending = len(to_clear)  # marked variables the walk has not reached
         if self.trail_lim:
             for idx in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
@@ -426,7 +418,7 @@ class Solver:
                 if val == 1:
                     self.trail_lim.append(len(self.trail))  # dummy level
                 elif val == 0:
-                    failed = self._analyze_final(p, None)
+                    failed = self._analyze_final(p)
                     ordered = [a for a in assumptions if a in failed]
                     if self.conflicts != start:
                         self.cancel_until(0)

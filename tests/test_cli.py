@@ -104,6 +104,8 @@ def test_parse_matrix_full_and_restricted():
         parse_matrix("hv=")
     with pytest.raises(ValueError):
         parse_matrix("hv=lb,lb")
+    with pytest.raises(ValueError):
+        parse_matrix("hv=lb;hv=ub")
 
 
 # the bench CSV header and the keys solve prints, in order, as released
@@ -277,6 +279,10 @@ def test_bench_out_failure_runs_no_solve(toy_path, tmp_path, capsys, monkeypatch
     out = blocker / "sub" / "rows.csv"
     assert main(["bench", "--instance", str(toy_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    # so is an --out that names an existing directory
+    assert main(["bench", "--instance", str(toy_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
     assert calls == []
     # an empty or repeated matrix value is refused before any solve too
     for matrix in ("hv=", "hv=lb,lb"):

@@ -212,16 +212,16 @@ def test_single_conflict_instance_yields_no_extras():
 def test_disjoint_phase_probes_at_most_one_per_component(monkeypatch):
     import ihswcsp.driver as driver
 
-    phases: list[int] = []  # non-improvement probes of each disjoint phase
+    phases: list[int] = []  # non-improvement probes of each refutation
     inside = {"phase": False, "improve": False}
-    inner_phase, inner_improve = driver._Run.disjoint_phase, driver.improve_core
+    inner_refute, inner_improve = driver._Run.refute, driver.improve_core
     inner_solve = InducedCspEncoding.solve_induced
 
-    def phase(self, h, k):
+    def refute(self, h, lazy_core):
         phases.append(0)
         inside["phase"] = True
         try:
-            return inner_phase(self, h, k)
+            return inner_refute(self, h, lazy_core)
         finally:
             inside["phase"] = False
 
@@ -237,7 +237,7 @@ def test_disjoint_phase_probes_at_most_one_per_component(monkeypatch):
             phases[-1] += 1
         return inner_solve(self, vector)
 
-    monkeypatch.setattr(driver._Run, "disjoint_phase", phase)
+    monkeypatch.setattr(driver._Run, "refute", refute)
     monkeypatch.setattr(driver, "improve_core", improve)
     monkeypatch.setattr(InducedCspEncoding, "solve_induced", solve_induced)
     rng = random.Random(27)

@@ -57,6 +57,17 @@ def test_min_cost_unhittable():
         min_cost_hv(p)
 
 
+def test_core_off_the_level_grid_is_refused():
+    # 1 is not a level of component 1, so the core is refused with no change
+    with pytest.raises(ValueError, match="not a level of component 1"):
+        _problem([(0, 2), (0, 2)], [(0, 1)])
+    p = _problem([(0, 2), (0, 2)], [(2, 0)])
+    with pytest.raises(ValueError, match="not a level of component 1"):
+        p.add((0, 1))
+    assert p.cores == [(2, 0)] and p.witnesses == [((1, 2),)] and p.insertions == 0
+    assert min_cost_hv(p) == (0, 2)
+
+
 def test_cost_bounded_trivial_and_nul():
     p = _problem([(0, 1, 2), (0, 1, 2)], [])
     assert cost_bounded_hv(p, None) == (0, 0)
@@ -164,7 +175,7 @@ def test_dual_bound_is_admissible():
         above = [tuple(v for v in ls if v >= hi) for ls, hi in zip(levels, h)]
         best, _ = enumerate_hitting(above, cores)
         problem = _problem(levels, cores)
-        unhit = problem._unhit(h)
+        unhit = [c for c, k in enumerate(problem.cores) if all(a <= b for a, b in zip(h, k))]
         if best is None or not unhit:
             continue
         rng.shuffle(unhit)
