@@ -70,7 +70,6 @@ class RunReport:
     sat_conflicts: int
     improve_probes: int
     core_set_size: int
-    core_insertions: int
     components: int
     exact_fallbacks: int
     bounds_trace: list[tuple[int | None, int | None]]
@@ -95,8 +94,8 @@ class _Run:
         merged = time.perf_counter()
         self.offset = view.constant_offset
         self.enc = InducedCspEncoding(view)
-        self.enc.deadline = started + cfg.time_limit
-        self.problem = HittingProblem(self.enc.space, deadline=self.enc.deadline)
+        self.enc.solver.deadline = started + cfg.time_limit
+        self.problem = HittingProblem(self.enc.space, deadline=self.enc.solver.deadline)
         self.lb = 0
         self.ub: int | None = None
         self.best_assignment: Assignment | None = None
@@ -139,7 +138,7 @@ class _Run:
             self.trace.append((self.lb, self.ub))
 
     def hitting(self, kind: str):
-        if time.perf_counter() > self.enc.deadline:
+        if time.perf_counter() > self.problem.deadline:
             raise SolveDeadlineExceeded
         t = time.perf_counter()
         try:
@@ -215,8 +214,7 @@ class _Run:
             sat_conflicts=self.enc.solver.conflicts,
             improve_probes=self.improve_probes,
             core_set_size=len(self.problem.cores),
-            core_insertions=self.problem.insertions,
-            components=self.enc.num_components,
+            components=len(self.enc.sel),
             exact_fallbacks=self.exact_fallbacks,
             bounds_trace=[(off(lb), off(ub)) for lb, ub in self.trace],
             hv_time=self.hv_time,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
-from .sat import Clause, Solver, pos
+from .sat import Clause, SolveDeadlineExceeded, Solver, pos
 from .wcsp_io import ENUMERATION_CAP
 
 
@@ -41,12 +41,6 @@ class Satisfiable:
 @dataclass(frozen=True)
 class Unsatisfiable:
     lazy_core: CostVector
-
-
-class SolveDeadlineExceeded(RuntimeError):
-    """Cooperative timeout: raised before an oracle call that would start
-    past the deadline, and by the hitting-vector branch and bound, which
-    polls it; never in the middle of a SAT solve."""
 
 
 class InducedCspEncoding:
@@ -74,7 +68,6 @@ class InducedCspEncoding:
         self.solver = Solver()
         self.num_solves = 0
         self.solve_time = 0.0
-        self.deadline: float | None = None
 
         solver = self.solver
         self.value_lit: list[list[int]] = []
@@ -134,28 +127,27 @@ class InducedCspEncoding:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def num_components(self) -> int:
-        return len(self.sel)
-
-    def assumptions_for(self, v: CostVector) -> list[int]:
-        if len(v) != len(self.sel):
-            raise ValueError("cost vector length does not match component count")
-        return [self.sel[i][self.space.index(i, val)] for i, val in enumerate(v)]
-
     def solve_induced(self, v: CostVector) -> Satisfiable | Unsatisfiable:
         """Solve the CSP induced by bounding every component at ``v``.
 
         SAT answers carry the decoded assignment and its solution vector
         (componentwise <= v); UNSAT answers carry the lazy core read off the
-        failed assumptions.  The call's time is added to ``solve_time``.
+        failed assumptions.  Each solve counts in ``num_solves`` and its time
+        in ``solve_time``, also one that passes the solver's deadline and
+        raises ``SolveDeadlineExceeded``, as does a call that starts past it.
         """
         started = time.perf_counter()
-        if self.deadline is not None and started > self.deadline:
+        if self.solver.deadline is not None and started > self.solver.deadline:
             raise SolveDeadlineExceeded
-        assumptions = self.assumptions_for(v)
-        res = self.solver.solve(assumptions)
+        if len(v) != len(self.sel):
+            raise ValueError("cost vector length does not match component count")
+        assumptions = [self.sel[i][self.space.index(i, val)] for i, val in enumerate(v)]
         self.num_solves += 1
+        try:
+            res = self.solver.solve(assumptions)
+        except SolveDeadlineExceeded:
+            self.solve_time += time.perf_counter() - started
+            raise
         if res.sat:
             model = res.model
             a = tuple(

@@ -41,7 +41,7 @@ from math import inf
 from operator import le
 from typing import Iterable
 
-from .encoding import SolveDeadlineExceeded
+from .sat import SolveDeadlineExceeded
 from .model import CostVector, LevelSpace
 
 _POLL_MASK = 1023  # the deadline is read when the node count is a multiple of 1024
@@ -63,8 +63,8 @@ class HittingProblem:
     or, where there is none, a value above every level whose distance to any
     level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
     reading after which the branch and bound gives up; ``nodes`` counts the
-    nodes it has visited, and ``insertions`` the cores ``add`` has stored.
-    The constructor stores the level vectors ``cores`` as given, in order."""
+    nodes it has visited.  The constructor stores the level vectors ``cores``
+    as given, in order."""
 
     def __init__(
         self, space: LevelSpace, cores: Iterable[CostVector] = (), deadline: float | None = None
@@ -72,7 +72,6 @@ class HittingProblem:
         self.space = space
         self.deadline = deadline
         self.nodes = 0
-        self.insertions = 0
         self.cores: list[CostVector] = []
         self.witnesses: list[tuple[tuple[int, int], ...]] = []
         self.columns: list[list[int]] = [[] for _ in space.levels]
@@ -82,8 +81,10 @@ class HittingProblem:
             self._append(k, self._above(k))
 
     def _above(self, k: CostVector) -> list[int | None]:
-        """``k``'s witness level at each component, None at its maximum; an
-        entry that is not a level raises ``LevelSpace.index``'s ``ValueError``."""
+        """``k``'s witness level at each component, None at its maximum; a
+        wrong length or an entry that is not a level raises ``ValueError``."""
+        if len(k) != len(self.space.levels):
+            raise ValueError(f"core {k} has {len(k)} entries, not {len(self.space.levels)}")
         js = [self.space.index(i, v) + 1 for i, v in enumerate(k)]
         return [ls[j] if j < len(ls) else None for ls, j in zip(self.space.levels, js)]
 
@@ -111,7 +112,6 @@ class HittingProblem:
             self.witnesses = [self.witnesses[c] for c in keep]
             self.columns = [[column[c] for c in keep] for column in self.columns]
         self._append(k, above)
-        self.insertions += 1
         return True
 
     def _check_hittable(self) -> None:

@@ -12,15 +12,7 @@ from __future__ import annotations
 from .encoding import InducedCspEncoding, Satisfiable
 from .model import CostVector, cost
 
-# strategy -> (respect_ub, stop_on_sat) of its raise loop; None for lazy,
-# which keeps the failed-assumption core as it is
-_RAISE_SETTINGS: dict[str, tuple[bool, bool] | None] = {
-    "lazy": None,
-    "cost-bounded": (True, False),
-    "partial-max": (False, True),
-    "maximal": (False, False),
-}
-STRATEGIES = tuple(_RAISE_SETTINGS)
+STRATEGIES = ("lazy", "cost-bounded", "partial-max", "maximal")
 
 
 def improve_core(
@@ -37,13 +29,11 @@ def improve_core(
     the improved core and the cheapest satisfiable probe answer, or None
     when no probe was satisfiable.
     """
-    if strategy not in _RAISE_SETTINGS:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown core strategy {strategy!r}")
-    settings = _RAISE_SETTINGS[strategy]
-    if settings is None:
+    if strategy == "lazy":
         return tuple(lazy_core), None
-    respect_ub, stop_on_sat = settings
-    if not respect_ub:
+    if strategy != "cost-bounded":
         ub = None
     space = encoding.space
     k = list(lazy_core)
@@ -61,7 +51,7 @@ def improve_core(
             if best is None or cost(res.solution_vector) < cost(best.solution_vector):
                 best = res
             candidates.remove(i)
-            if stop_on_sat:
+            if strategy == "partial-max":
                 break
         else:
             k[i] = raised

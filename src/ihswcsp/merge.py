@@ -5,8 +5,8 @@ a single cost function over the union scope, shrinking the dimension of the
 cost-vector space while preserving the optimum.  The merged table is built by
 numpy broadcasting: each member becomes a dense array over its own scope,
 transposed into the union scope's axis order and summed in.  Clusters whose
-union table would exceed the cap fall back to the original unmerged
-functions.
+union table would exceed ``MERGE_CAP`` assignments fall back to the original
+unmerged functions.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from .model import CostFunction, WcspInstance
+
+MERGE_CAP = 4096  # the most assignments a merged function's table may hold
 
 
 def min_fill_order(
@@ -122,12 +124,10 @@ def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[
     return groups
 
 
-def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
+def build_merged(w: WcspInstance) -> MergedProblem:
     """Group cost functions by the smallest decomposition cluster containing
     their scope and materialize each multi-function group whose union-scope
-    assignment count is within ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    assignment count is within ``MERGE_CAP``."""
     edges = set()
     for f in w.cost_functions:
         for a_i, a in enumerate(f.scope):
@@ -146,7 +146,7 @@ def build_merged(w: WcspInstance, cap: int = 4096) -> MergedProblem:
             final_groups.append(tuple(group))
             continue
         scope_union = set(itertools.chain.from_iterable(w.cost_functions[i].scope for i in group))
-        if prod(w.domains[x] for x in scope_union) > cap:
+        if prod(w.domains[x] for x in scope_union) > MERGE_CAP:
             split_count += 1
             final_groups.extend((i,) for i in group)
         else:

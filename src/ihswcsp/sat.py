@@ -26,8 +26,15 @@ Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+
+
+class SolveDeadlineExceeded(RuntimeError):
+    """Cooperative timeout: raised by a SAT solve, before an oracle call that
+    would start past the deadline, and by the hitting-vector branch and
+    bound, each of which polls it."""
 
 
 def pos(v: int) -> int:
@@ -67,7 +74,9 @@ class Solver:
 
     Between calls, trail level ``L`` (1-based) holds the assumption
     ``assumed[L-1]`` of the last call; ``add_clause`` cancels every level
-    above 0."""
+    above 0.  ``deadline``, a ``time.perf_counter()`` reading or None, is
+    polled every 64 conflicts: past it, a solve cancels to level 0, which
+    leaves the solver usable, and raises ``SolveDeadlineExceeded``."""
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -90,6 +99,7 @@ class Solver:
         self.cla_inc = 1.0
         self.ok = True
         self.conflicts = 0
+        self.deadline: float | None = None
 
     # -- variables and clauses ------------------------------------------------
 
@@ -399,6 +409,10 @@ class Solver:
                 if not self.trail_lim:
                     self.ok = False
                     return SatResult(False, failed=[])
+                if not self.conflicts & 63 and self.deadline is not None:
+                    if time.perf_counter() > self.deadline:
+                        self.cancel_until(0)
+                        raise SolveDeadlineExceeded
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
                 self._record(learnt)

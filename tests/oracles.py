@@ -147,6 +147,20 @@ def random_tiny_instance(
     return WcspInstance("tiny", domains, tuple(hard), tuple(funcs), top)
 
 
+def three_colouring(n: int, seed: int = 7) -> WcspInstance:
+    """A random 3-colouring of ``n`` vertices and ``round(4.6 * n / 2)``
+    edges (average degree 4.6, past the colourability threshold), with a
+    unary cost of 1 on colour 0 at every vertex.  At 450 vertices the SAT
+    engine's feasibility solve alone runs far past a one-second deadline."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = random.Random(seed).sample(pairs, round(4.6 * n / 2))
+    domains = (3,) * n
+    same = frozenset((c, c) for c in range(3))
+    hard = tuple(HardConstraint(e, same) for e in edges)
+    funcs = tuple(make_cost_function((v,), 0, {(0,): 1}, domains) for v in range(n))
+    return WcspInstance(f"colouring-{n}", domains, hard, funcs, n + 1)
+
+
 def reference_encoding_solver(instance: WcspInstance):
     """The induced-CSP encoding's clauses, every one passed through the
     general ``Solver.add_clause`` and every unlisted tuple of a partial table

@@ -202,7 +202,7 @@ def test_clauses_watches_and_trail_match_add_clause_encoder():
         w = random_tiny_instance(rng, max_vars=5, max_funcs=4)
         instances.append(w)
         if k % 3 == 0:
-            instances.append(build_merged(w, cap=64).view)
+            instances.append(build_merged(w).view)
             seen["merged"] += 1
     # ingest-shaped: merged tables over ascending scopes, tens of thousands of clauses
     instances.append(build_merged(gen_uniform(GeneratorParams(120, 6, 240, 6, 12, seed=1))).view)

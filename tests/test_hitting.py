@@ -64,8 +64,18 @@ def test_core_off_the_level_grid_is_refused():
     p = _problem([(0, 2), (0, 2)], [(2, 0)])
     with pytest.raises(ValueError, match="not a level of component 1"):
         p.add((0, 1))
-    assert p.cores == [(2, 0)] and p.witnesses == [((1, 2),)] and p.insertions == 0
+    assert p.cores == [(2, 0)] and p.witnesses == [((1, 2),)]
     assert min_cost_hv(p) == (0, 2)
+
+
+def test_core_of_the_wrong_length_is_refused():
+    for k in [(0,), (0, 1, 1)]:
+        with pytest.raises(ValueError, match="entries"):
+            _problem([(0, 1)] * 2, [k])
+        p = _problem([(0, 1)] * 2, [(1, 0)])
+        with pytest.raises(ValueError, match="entries"):
+            p.add(k)
+        assert p.cores == [(1, 0)] and p.columns == [[p._none], [1]]
 
 
 def test_cost_bounded_trivial_and_nul():
@@ -221,7 +231,6 @@ def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
     assert not p.add((2, 1, 0))  # a duplicate
     assert p.add((1, 2, 0))  # evicts (0, 2, 0) only
     assert p.cores == [(1, 0, 3), (2, 1, 0), (1, 2, 0)]
-    assert p.insertions == 4
     rebuilt = _problem(levels, p.cores)
     for table in ("cores", "witnesses", "columns"):
         assert getattr(p, table) == getattr(rebuilt, table)
@@ -235,7 +244,6 @@ def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
 def test_constructor_stores_cores_as_given():
     p = _problem([(0, 1, 2)] * 2, [(1, 1), (0, 1), (1, 1)])
     assert p.cores == [(1, 1), (0, 1), (1, 1)]
-    assert p.insertions == 0
 
 
 def test_deep_search_needs_no_recursion():

@@ -84,7 +84,7 @@ def test_merge_two_functions_on_same_scope():
     f1 = make_cost_function((0, 1), 0, {(0, 0): 1, (1, 1): 2}, (2, 2))
     f2 = make_cost_function((0, 1), 0, {(0, 1): 3, (1, 1): 1}, (2, 2))
     w = WcspInstance("pair", (2, 2), (), (f1, f2), 20)
-    merged = build_merged(w, cap=4)
+    merged = build_merged(w)
     assert merged.clusters == ((0, 1),)
     assert len(merged.view.cost_functions) == 1
     f = merged.view.cost_functions[0]
@@ -102,19 +102,12 @@ def test_disjoint_scopes_stay_singletons():
     assert merged.view.cost_functions == w.cost_functions
 
 
-def test_cap_one_means_no_merging():
-    w = gen_uniform(GeneratorParams(6, 2, 8, 2, 3, seed=4))
-    merged = build_merged(w, cap=1)
-    assert merged.view.cost_functions == w.cost_functions
-    assert merged.merged_clusters == 0
-
-
 def test_cap_fallback_counts_splits():
-    f1 = make_cost_function((0, 1), 0, {(0, 0): 1}, (4, 4, 4))
-    f2 = make_cost_function((1, 2), 0, {(0, 0): 2}, (4, 4, 4))
-    f3 = make_cost_function((0, 2), 0, {(0, 0): 3}, (4, 4, 4))
-    w = WcspInstance("tri", (4, 4, 4), (), (f1, f2, f3), 10)
-    merged = build_merged(w, cap=8)  # union scope needs 64 assignments
+    f1 = make_cost_function((0, 1), 0, {(0, 0): 1}, (17, 17, 17))
+    f2 = make_cost_function((1, 2), 0, {(0, 0): 2}, (17, 17, 17))
+    f3 = make_cost_function((0, 2), 0, {(0, 0): 3}, (17, 17, 17))
+    w = WcspInstance("tri", (17, 17, 17), (), (f1, f2, f3), 10)
+    merged = build_merged(w)  # union scope needs 4913 > MERGE_CAP assignments
     assert merged.split_clusters >= 1
     assert merged.view.cost_functions == w.cost_functions
 
@@ -186,9 +179,3 @@ def test_merged_top_covers_summed_costs():
     assert f.levels == (0, 12)
     assert merged.view.top > 12
     assert brute_force_optimum(merged.view) == 0
-
-
-def test_rejects_bad_cap():
-    w = gen_uniform(GeneratorParams(4, 2, 2, 1, 1, seed=1))
-    with pytest.raises(ValueError):
-        build_merged(w, cap=0)

@@ -96,7 +96,6 @@ def test_core_set_insert_rules():
     assert not cs.add((0, 1))  # dominated
     assert cs.add((2, 2))  # dominates and evicts (1, 1)
     assert cs.cores == [(2, 2)]
-    assert cs.insertions == 2
 
 
 def _single_cell_instance():

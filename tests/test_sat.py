@@ -1,7 +1,11 @@
 import hashlib
+import itertools
 import random
+import time
 
-from ihswcsp.sat import Solver, neg, pos
+import pytest
+
+from ihswcsp.sat import SatResult, SolveDeadlineExceeded, Solver, neg, pos
 from oracles import random_cnf, truth_table, truth_table_sat
 
 
@@ -145,6 +149,30 @@ def test_determinism():
     b1, b2 = run()
     assert a1 == b1
     assert a2 == b2
+
+
+def test_deadline_interrupts_solve_and_leaves_solver_usable():
+    # 7 pigeons in 6 holes, every clause guarded by assuming variable 0: the
+    # solve needs far more than 64 conflicts, all above the root level
+    var = {(p, h): 1 + 6 * p + h for p in range(7) for h in range(6)}
+    clauses = [[neg(0)] + [pos(var[p, h]) for h in range(6)] for p in range(7)]
+    for h in range(6):
+        for p, q in itertools.combinations(range(7), 2):
+            clauses.append([neg(0), neg(var[p, h]), neg(var[q, h])])
+
+    def loaded():
+        s = Solver()
+        for c in clauses:
+            s.add_clause(c)
+        return s
+
+    s = loaded()
+    s.deadline = time.perf_counter() - 1.0
+    with pytest.raises(SolveDeadlineExceeded):
+        s.solve([pos(0)])
+    assert s.conflicts == 64 and s.trail_lim == []
+    s.deadline = None
+    assert s.solve([pos(0)]) == loaded().solve([pos(0)]) == SatResult(False, failed=[pos(0)])
 
 
 def test_hard_random_formulas_near_phase_transition():
