@@ -21,7 +21,7 @@ from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Un
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import STRATEGIES, improve_core
 from .merge import build_merged
-from .model import Assignment, CostVector, WcspInstance, cost
+from .model import Assignment, CostVector, LevelSpace, WcspInstance, cost
 
 HV_STRATEGIES = ("lb", "ub", "grd-lb", "grd-ub")
 
@@ -55,9 +55,10 @@ class RunReport:
     ``sat_time`` is the time of all those solves, so it overlaps
     ``improve_time``, which covers whole improvement and disjoint phases.
     ``merge_time`` (0 without merging) and ``encode_time`` are the set-up
-    before the first solve.  Bounds and the optimum include the instance's
-    constant offset.  ``final_cores`` is the run's core set at the end and
-    ``inserted_cores`` every improved core in the order it was added."""
+    before the first solve (a run whose deadline passes there has no
+    solve).  Bounds and the optimum include the instance's constant offset.
+    ``final_cores`` is the run's core set at the end and ``inserted_cores``
+    every improved core in the order it was added."""
 
     status: str
     optimum: int | None
@@ -90,12 +91,13 @@ class _Run:
     def __init__(self, instance: WcspInstance, cfg: SolverConfig):
         self.cfg = cfg
         self.started = started = time.perf_counter()
-        view = build_merged(instance).view if cfg.merge else instance
-        merged = time.perf_counter()
-        self.offset = view.constant_offset
-        self.enc = InducedCspEncoding(view)
-        self.enc.solver.deadline = started + cfg.time_limit
-        self.problem = HittingProblem(self.enc.space, deadline=self.enc.solver.deadline)
+        self.view = build_merged(instance).view if cfg.merge else instance
+        self.merge_time = time.perf_counter() - started
+        self.offset = self.view.constant_offset
+        space = LevelSpace.from_instance(self.view)
+        self.problem = HittingProblem(space, deadline=started + cfg.time_limit)
+        self.enc: InducedCspEncoding | None = None  # set by encode()
+        self.encode_time = 0.0
         self.lb = 0
         self.ub: int | None = None
         self.best_assignment: Assignment | None = None
@@ -107,7 +109,15 @@ class _Run:
         self.hv_time = 0.0
         self.improve_time = 0.0
         self.inserted: list[CostVector] = []
-        self.merge_time, self.encode_time = merged - started, time.perf_counter() - merged
+
+    def encode(self) -> None:
+        """Build the encoding under the run's deadline (the problem's), which
+        it polls."""
+        t = time.perf_counter()
+        try:
+            self.enc = InducedCspEncoding(self.view, self.problem.deadline)
+        finally:
+            self.encode_time = time.perf_counter() - t
 
     def loop(self) -> None:
         """The IHS loop.  Its exact hitting oracle is "min" in lb modes (a
@@ -202,6 +212,8 @@ class _Run:
         def off(x: int | None) -> int | None:
             return None if x is None else x + self.offset
 
+        enc = self.enc  # None when the deadline passed while it was built
+
         return RunReport(
             status=status,
             optimum=off(self.lb) if status == "optimal" else None,
@@ -210,15 +222,15 @@ class _Run:
             iterations=self.iterations,
             hv_calls=self.hv_calls,
             hv_nodes=self.problem.nodes,
-            sat_calls=self.enc.num_solves,
-            sat_conflicts=self.enc.solver.conflicts,
+            sat_calls=enc.num_solves if enc else 0,
+            sat_conflicts=enc.solver.conflicts if enc else 0,
             improve_probes=self.improve_probes,
             core_set_size=len(self.problem.cores),
-            components=len(self.enc.sel),
+            components=len(self.problem.space.levels),
             exact_fallbacks=self.exact_fallbacks,
             bounds_trace=[(off(lb), off(ub)) for lb, ub in self.trace],
             hv_time=self.hv_time,
-            sat_time=self.enc.solve_time,
+            sat_time=enc.solve_time if enc else 0.0,
             improve_time=self.improve_time,
             merge_time=self.merge_time,
             encode_time=self.encode_time,
@@ -237,6 +249,7 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     cfg = cfg or SolverConfig()
     run = _Run(instance, cfg)
     try:
+        run.encode()
         if isinstance(run.enc.solve_induced(run.enc.space.maximum), Unsatisfiable):
             return run.report("infeasible")
         run.loop()

@@ -26,10 +26,19 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 
-from .model import Assignment, CostVector, LevelSpace, WcspInstance, evaluate
+from .model import Assignment, CostVector, LevelSpace, WcspInstance
 from .sat import Clause, SolveDeadlineExceeded, Solver, pos
 from .wcsp_io import ENUMERATION_CAP
+
+
+def _scope_key(scope):
+    """The function that reads a scope's tuple off an assignment tuple; a
+    slice keeps the tuple form for a scope of one variable or none."""
+    if len(scope) > 1:
+        return itemgetter(*scope)
+    return itemgetter(slice(scope[0], scope[0] + 1) if scope else slice(0))
 
 
 @dataclass(frozen=True)
@@ -46,11 +55,11 @@ class Unsatisfiable:
 class InducedCspEncoding:
     """One encoding (and one incremental SAT engine) per solver run.
 
-    ``space`` is the instance's level grid, which every layer of the run
-    reads."""
+    ``space`` is the instance's level grid.  ``deadline``, a
+    ``time.perf_counter()`` reading or None, becomes the solver's; the build
+    polls it too, and raises ``SolveDeadlineExceeded`` past it."""
 
-    def __init__(self, instance: WcspInstance):
-        self.instance = instance
+    def __init__(self, instance: WcspInstance, deadline: float | None = None):
         self.space = space = LevelSpace.from_instance(instance)
         # each unlisted tuple above the baseline costs one clause, so refuse a
         # table past the enumeration cap before building anything
@@ -66,6 +75,7 @@ class InducedCspEncoding:
                     "the encoding enumerates"
                 )
         self.solver = Solver()
+        self.solver.deadline = deadline
         self.num_solves = 0
         self.solve_time = 0.0
 
@@ -79,11 +89,11 @@ class InducedCspEncoding:
         for hc in instance.hard_constraints:
             self._add(self._forbidding(hc.scope, ((t, None) for t in sorted(hc.forbidden))))
 
-        self.sel: list[list[int]] = []
+        self.sel: list[dict[int, int]] = []  # per component: level -> its selector
         for i, f in enumerate(instance.cost_functions):
             sels = [pos(solver.new_var()) for _ in f.levels]
             self._add([a ^ 1, b] for a, b in zip(sels, sels[1:]))
-            self.sel.append(sels)
+            self.sel.append(dict(zip(f.levels, sels)))
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
             explicit = sorted(f.explicit.items())
@@ -95,14 +105,23 @@ class InducedCspEncoding:
                 sel = sels[space.index(i, f.default_cost) - 1]
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
                 self._add(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
+        # for decoding: each variable's first value variable, and each
+        # function's table lookup, scope key and default
+        self._first = [lits[0] >> 1 for lits in self.value_lit]
+        self._tables = [
+            (f.explicit.get, _scope_key(f.scope), f.default_cost) for f in instance.cost_functions
+        ]
 
     def _add(self, clauses) -> None:
         """Add clauses whose literals are sorted, on distinct variables:
         directly while the solver is consistent, its root trail is empty and
-        the clause has two literals or more, else through ``add_clause``."""
+        the clause has two literals or more, else through ``add_clause``.
+        Polls the deadline while the stored count is a multiple of 4096."""
         solver = self.solver
-        stored, watches = solver.clauses, solver.watches
+        stored, watches, deadline = solver.clauses, solver.watches, solver.deadline
         for lits in clauses:
+            if not len(stored) & 4095 and deadline is not None and time.perf_counter() > deadline:
+                raise SolveDeadlineExceeded
             if solver.trail or not solver.ok or len(lits) < 2:
                 solver.add_clause(lits)
                 continue
@@ -141,7 +160,10 @@ class InducedCspEncoding:
             raise SolveDeadlineExceeded
         if len(v) != len(self.sel):
             raise ValueError("cost vector length does not match component count")
-        assumptions = [self.sel[i][self.space.index(i, val)] for i, val in enumerate(v)]
+        try:
+            assumptions = [sel[x] for sel, x in zip(self.sel, v)]
+        except KeyError:
+            raise ValueError(f"cost vector {v} is not a level vector") from None
         self.num_solves += 1
         try:
             res = self.solver.solve(assumptions)
@@ -149,12 +171,10 @@ class InducedCspEncoding:
             self.solve_time += time.perf_counter() - started
             raise
         if res.sat:
+            # exactly one value variable of each WCSP variable is true
             model = res.model
-            a = tuple(
-                next(k for k, lit in enumerate(lits) if model[lit >> 1])
-                for lits in self.value_lit
-            )
-            _, sv, _ = evaluate(self.instance, a)
+            a = tuple([model.index(True, first) - first for first in self._first])
+            sv = tuple([get(key(a), default) for get, key, default in self._tables])
             out: Satisfiable | Unsatisfiable = Satisfiable(a, sv)
         else:
             failed = set(res.failed)

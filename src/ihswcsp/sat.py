@@ -20,6 +20,12 @@ The decision heap holds at most one entry per variable at its current
 activity, flagged in ``in_heap`` (as in MiniSat), so neither backjumps nor
 activity bumps refill it.  Neither change alters the search.
 
+The hot path keeps the same search with less Python work: ``propagate``
+never scans a binary clause for a new watch, ``solve`` branches inline, and
+conflict analysis reads reason clauses whole.  ``cancel_until`` leaves an
+unassigned variable's reason stale, so a learnt clause is locked only while
+its first literal is true.
+
 Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 ``2*v + 1`` (negative); ``lit ^ 1`` negates.
 """
@@ -171,14 +177,14 @@ class Solver:
             return
         bound = self.trail_lim[lvl]
         trail, val, in_heap = self.trail, self.val, self.in_heap
-        polarity, reason, heap, activity = self.polarity, self.reason, self.heap, self.activity
+        polarity, heap, activity = self.polarity, self.heap, self.activity
         # any order will do: the heap pops its entries in an order that
-        # depends only on which entries it holds
+        # depends only on which entries it holds; an unassigned variable's
+        # reason is stale and never read
         for l in trail[bound:]:
             v = l >> 1
             polarity[v] = (l & 1) ^ 1
             val[l] = val[l ^ 1] = 2
-            reason[v] = None
             if not in_heap[v]:
                 in_heap[v] = 1
                 heappush(heap, (-activity[v], v))
@@ -198,8 +204,8 @@ class Solver:
             qhead += 1
             false_lit = p ^ 1
             ws = watches[p]
-            j = 0
-            for i, c in enumerate(ws):
+            j = moved = 0  # ws[:j] kept; moved clauses now watch another literal
+            for c in ws:
                 first = c[0]
                 if first == false_lit:
                     first = c[0] = c[1]
@@ -209,48 +215,49 @@ class Solver:
                     ws[j] = c
                     j += 1
                     continue
-                # look for a non-false replacement watch; it is never
-                # false_lit, so ws itself does not grow
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if val[lk]:
+                # look for a non-false replacement watch, at position 2 first;
+                # it is never false_lit, so ws itself does not grow
+                n = len(c)
+                if n > 2:
+                    k = 2
+                    lk = c[2]
+                    if not val[lk]:
+                        k = 3
+                        while k < n:
+                            lk = c[k]
+                            if val[lk]:
+                                break
+                            k += 1
+                    if k < n:
                         c[1] = lk
                         c[k] = false_lit
                         watches[lk ^ 1].append(c)
-                        break
-                else:
-                    ws[j] = c
-                    j += 1
-                    if fv == 0:  # conflict: keep the remaining watches intact
-                        del ws[j : i + 1]
-                        self.qhead = len(trail)
-                        return c
-                    val[first] = 1
-                    val[first ^ 1] = 0
-                    v = first >> 1
-                    level[v] = level_now
-                    reason[v] = c
-                    trail.append(first)
+                        moved += 1
+                        continue
+                ws[j] = c
+                j += 1
+                if fv == 0:  # conflict: keep the remaining watches intact
+                    del ws[j : j + moved]
+                    self.qhead = len(trail)
+                    return c
+                val[first] = 1
+                val[first ^ 1] = 0
+                v = first >> 1
+                level[v] = level_now
+                reason[v] = c
+                trail.append(first)
             del ws[j:]
         self.qhead = qhead
         return None
 
     # -- conflict analysis -----------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
-        # v is assigned (it is in a conflict), so it needs no heap entry
-        # until cancel_until unassigns it and pushes its new activity
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        self.in_heap[v] = 0
-        if act > 1e100:
-            self._rescale_var_activity()
-
     def _rescale_var_activity(self) -> None:
-        self.activity = [a * 1e-100 for a in self.activity]
+        # in place, so that the lists a running solve or analyze holds stay current
+        self.activity[:] = [a * 1e-100 for a in self.activity]
         self.var_inc *= 1e-100
-        self.in_heap = bytearray(x == 2 for x in self.val[::2])
-        self.heap = [(-self.activity[v], v) for v in range(self.num_vars) if self.in_heap[v]]
+        self.in_heap[:] = bytearray(x == 2 for x in self.val[::2])
+        self.heap[:] = [(-self.activity[v], v) for v in range(self.num_vars) if self.in_heap[v]]
         heapify(self.heap)
 
     def _bump_cla(self, c: Clause) -> None:
@@ -262,84 +269,80 @@ class Solver:
 
     def analyze(self, confl: Clause) -> tuple[list[int], int]:
         """First-UIP learning; returns the learnt clause (asserting literal
-        first) and the backjump level."""
-        seen = self.seen
+        first) and the backjump level.  A bumped variable is assigned, so it
+        leaves the heap until ``cancel_until`` pushes its new activity.  A
+        reason's first literal is the one it implied, already marked."""
+        seen, level, trail, reason = self.seen, self.level, self.trail, self.reason
+        activity, in_heap, var_inc = self.activity, self.in_heap, self.var_inc
         cur = len(self.trail_lim)
         learnt: list[int] = [0]
         to_clear: list[int] = []
         counter = 0
-        p = -1
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         while True:
             if confl.learnt:
                 self._bump_cla(confl)
-            for k in range(0 if p == -1 else 1, len(confl)):
-                q = confl[k]
+            for q in confl:
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     to_clear.append(v)
-                    self._bump_var(v)
-                    if self.level[v] >= cur:
+                    act = activity[v] = activity[v] + var_inc
+                    in_heap[v] = 0
+                    if act > 1e100:
+                        self._rescale_var_activity()
+                        var_inc = self.var_inc
+                    if level[v] >= cur:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[p >> 1]
+            confl = reason[p >> 1]
         learnt[0] = p ^ 1
         if len(learnt) == 1:
             bt = 0
         else:
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[learnt[i] >> 1] > self.level[learnt[max_i] >> 1]:
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = self.level[learnt[1] >> 1]
+            bt = level[learnt[1] >> 1]
         for v in to_clear:
             seen[v] = 0
         return learnt, bt
 
     def _analyze_final(self, p: int) -> set[int]:
-        """Walk the trail from the falsified assumption ``p`` and collect the
-        assumption literals it depends on."""
-        seen, level = self.seen, self.level
-        to_clear: list[int] = []
+        """Collect the assumption literals that the falsified assumption
+        ``p`` depends on: follow the reasons back from ``p``'s variable and
+        keep the true literal of each variable reached above level 0 that
+        has none (while this runs, only assumptions are decisions)."""
+        seen, level, reason, val = self.seen, self.level, self.reason, self.val
         out = {p}
-        if level[p >> 1] > 0:
+        marked = [p >> 1] if level[p >> 1] > 0 else []
+        if marked:
             seen[p >> 1] = 1
-            to_clear.append(p >> 1)
-        pending = len(to_clear)  # marked variables the walk has not reached
-        if self.trail_lim:
-            for idx in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-                if not pending:
-                    break
-                l = self.trail[idx]
-                v = l >> 1
-                if not seen[v]:
-                    continue
-                pending -= 1
-                r = self.reason[v]
-                if r is None:
-                    out.add(l)
-                else:
-                    for q in r[1:]:
-                        u = q >> 1
-                        if level[u] > 0 and not seen[u]:
-                            seen[u] = 1
-                            to_clear.append(u)
-                            pending += 1
-        for v in to_clear:
+        for v in marked:  # marked grows as the walk goes
+            r = reason[v]
+            if r is None:
+                out.add((v << 1) | (val[v << 1] ^ 1))
+                continue
+            for q in r:
+                u = q >> 1
+                if level[u] > 0 and not seen[u]:
+                    seen[u] = 1
+                    marked.append(u)
+        for v in marked:
             seen[v] = 0
         return out
 
-    # -- learnt DB and branching -----------------------------------------------
+    # -- learnt DB -------------------------------------------------------------
 
     def _record(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
@@ -353,12 +356,13 @@ class Solver:
         self._enqueue(c[0], c)
 
     def reduce_db(self) -> None:
-        """Drop the less active half of the learnt clauses (locked ones stay)."""
+        """Drop the less active half of the learnt clauses, but not a locked
+        one: the reason of an assigned literal, not a stale reason."""
         self.learnts.sort(key=lambda c: c.act, reverse=True)
         keep = len(self.learnts) // 2
         kept: list[Clause] = []
         for i, c in enumerate(self.learnts):
-            locked = self.reason[c[0] >> 1] is c
+            locked = self.val[c[0]] == 1 and self.reason[c[0] >> 1] is c
             if i < keep or locked:
                 kept.append(c)
             else:
@@ -370,26 +374,18 @@ class Solver:
                             break
         self.learnts = kept
 
-    def _pick_branch(self) -> int:
-        heap, val, activity, in_heap = self.heap, self.val, self.activity, self.in_heap
-        while heap:
-            key, v = heappop(heap)
-            if key == -activity[v]:  # v's current entry, not a stale one
-                in_heap[v] = 0
-            if val[v << 1] == 2:
-                return (v << 1) | (self.polarity[v] ^ 1)
-        return -1
-
     # -- main search -----------------------------------------------------------
 
     def solve(self, assumptions=()) -> SatResult:
         assumptions = list(assumptions)
         if assumptions:
-            self._ensure_var(max(l >> 1 for l in assumptions))
+            self._ensure_var(max(assumptions) >> 1)
         if not self.ok:
             return SatResult(False, failed=[])
+        trail, trail_lim, val, polarity = self.trail, self.trail_lim, self.val, self.polarity
+        heap, activity, in_heap = self.heap, self.activity, self.in_heap
         keep, assumed = 0, self.assumed
-        limit = min(len(self.trail_lim), len(assumptions))
+        limit = min(len(trail_lim), len(assumptions))
         while keep < limit and assumed[keep] == assumptions[keep]:
             keep += 1
         self.cancel_until(keep)
@@ -406,7 +402,7 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return SatResult(False, failed=[])
                 if not self.conflicts & 63 and self.deadline is not None:
@@ -425,26 +421,31 @@ class Solver:
                 if len(self.learnts) > 500 + 2 * len(self.clauses):
                     self.reduce_db()
                 continue
-            dl = len(self.trail_lim)
+            dl = len(trail_lim)
             if dl < len(assumptions):
-                p = assumptions[dl]
-                val = self.val[p]
-                if val == 1:
-                    self.trail_lim.append(len(self.trail))  # dummy level
-                elif val == 0:
-                    failed = self._analyze_final(p)
+                lit = assumptions[dl]
+                if val[lit] == 1:
+                    trail_lim.append(len(trail))  # dummy level
+                    continue
+                if val[lit] == 0:
+                    failed = self._analyze_final(lit)
                     ordered = [a for a in assumptions if a in failed]
                     if self.conflicts != start:
                         self.cancel_until(0)
                     return SatResult(False, failed=ordered)
-                else:
-                    self.trail_lim.append(len(self.trail))
-                    self._enqueue(p, None)
             else:
-                lit = self._pick_branch()
-                if lit == -1:
-                    model = [x == 1 for x in self.val[::2]]
+                # branch on the most active unassigned variable; an entry
+                # whose key is not the variable's activity is a stale one
+                while heap:
+                    key, v = heappop(heap)
+                    if key == -activity[v]:
+                        in_heap[v] = 0
+                    if val[v << 1] == 2:
+                        break
+                else:
+                    model = list(map((1).__eq__, val[::2]))
                     self.cancel_until(len(assumptions) if self.conflicts == start else 0)
                     return SatResult(True, model=model)
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
+                lit = (v << 1) | (polarity[v] ^ 1)
+            trail_lim.append(len(trail))  # a decision level: an assumption or a branch
+            self._enqueue(lit, None)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from ihswcsp.driver import SolverConfig, solve
-from ihswcsp.encoding import InducedCspEncoding, Unsatisfiable
+from ihswcsp.encoding import InducedCspEncoding, SolveDeadlineExceeded, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
 from ihswcsp.merge import build_merged
 from ihswcsp.model import (
@@ -292,6 +292,24 @@ def test_deadline_interrupts_a_sat_solve():
     report = solve(three_colouring(450), SolverConfig(time_limit=1.0))
     assert report.status == "timeout"
     assert time.perf_counter() - started < 10
+
+
+def test_deadline_interrupts_the_encoding_build():
+    # each of the four tables lists one of its 16**4 tuples at cost 0, so the
+    # encoding streams 65,535 clauses per table: about half a second in all
+    domains = (16,) * 16
+    tables = [make_cost_function((x, x + 1, x + 2, x + 3), 1, {(0,) * 4: 0}, domains) for x in (0, 4, 8, 12)]
+    w = WcspInstance("dense", domains, (), tuple(tables), 10)
+    with pytest.raises(SolveDeadlineExceeded):
+        InducedCspEncoding(w, deadline=time.perf_counter())
+    started = time.perf_counter()
+    report = solve(w, SolverConfig(time_limit=0.05))
+    assert time.perf_counter() - started < 0.05 + 0.2
+    assert report.status == "timeout" and report.optimum is None
+    assert (report.final_lb, report.final_ub, report.iterations) == (0, None, 0)
+    assert (report.sat_calls, report.sat_conflicts, report.sat_time) == (0, 0, 0.0)
+    assert report.components == 4 and report.final_cores == [] and report.bounds_trace == []
+    assert 0 < report.encode_time <= report.total_time
 
 
 def test_deadline_holds_in_ub_mode():

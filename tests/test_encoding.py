@@ -3,6 +3,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.model import (
@@ -12,6 +14,8 @@ from ihswcsp.model import (
     evaluate,
     make_cost_function,
 )
+from ihswcsp.merge import build_merged
+from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform
 from oracles import dominates, enumerate_assignments, random_tiny_instance, reference_encoding_solver
 
 
@@ -221,3 +225,66 @@ def test_clauses_watches_and_trail_match_add_clause_encoder():
         assert got.clauses == want.clauses
         assert _watch_indices(got) == _watch_indices(want)
     assert all(seen.values()), seen
+
+
+def _check_sat_answers_decode_their_models(w, vectors):
+    """Solve every vector; each satisfiable answer must carry the one-hot
+    decoding of the SAT model and ``evaluate``'s solution vector of it.
+    Returns the number of satisfiable answers."""
+    enc = InducedCspEncoding(w)
+    models = []
+    inner = enc.solver.solve
+
+    def solve(assumptions):
+        res = inner(assumptions)
+        models.append(res.model)
+        return res
+
+    enc.solver.solve = solve
+    sat = 0
+    for v in vectors:
+        res = enc.solve_induced(v)
+        if isinstance(res, Satisfiable):
+            sat += 1
+            model = models[-1]
+            decoded = [[k for k, lit in enumerate(lits) if model[lit >> 1]] for lits in enc.value_lit]
+            assert decoded == [[a] for a in res.assignment]
+            assert res.solution_vector == evaluate(w, res.assignment)[1]
+    return sat
+
+
+@st.composite
+def generated_instances(draw):
+    n = draw(st.integers(3, 7))
+    d = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        gen, m = gen_uniform, draw(st.integers(1, min(8, n * (n - 1) // 2)))
+    else:
+        gen, m = gen_scale_free, draw(st.integers(1, n - 1))
+    p = GeneratorParams(n, d, m, draw(st.integers(1, 4)), draw(st.integers(1, d * d)),
+                        draw(st.integers(0, 2**32)))
+    w = gen(p)
+    return build_merged(w).view if draw(st.booleans()) else w
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_instances(), st.randoms(use_true_random=False))
+def test_sat_answers_carry_the_model_decoding_and_its_solution_vector(w, rng):
+    levels = [f.levels for f in w.cost_functions]
+    vectors = [tuple(ls[-1] for ls in levels), tuple(ls[0] for ls in levels)]
+    vectors += [tuple(rng.choice(ls) for ls in levels) for _ in range(8)]
+    assert _check_sat_answers_decode_their_models(w, vectors) > 0
+
+
+def test_decode_of_unary_and_empty_scopes_and_of_no_variables():
+    unary = make_cost_function((1,), 0, {(0,): 2, (2,): 1}, (2, 3))
+    binary = make_cost_function((0, 1), 1, {(0, 0): 0, (1, 2): 3}, (2, 3))
+    empty = CostFunction((), 0, {(): 5}, (0, 5))
+    w = WcspInstance("edges", (2, 3), (), (unary, binary, empty), 10)
+    vectors = list(_level_space(w))
+    assert _check_sat_answers_decode_their_models(w, vectors) == sum(
+        _induced_sat_by_enumeration(w, v) for v in vectors
+    )
+    bare = WcspInstance("z", (), (), (empty,), 10)
+    assert _check_sat_answers_decode_their_models(bare, [(0,), (5,)]) == 1
+    assert InducedCspEncoding(bare).solve_induced((5,)) == Satisfiable((), (5,))

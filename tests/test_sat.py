@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ihswcsp.sat import SatResult, SolveDeadlineExceeded, Solver, neg, pos
+from ihswcsp.sat import Learnt, SatResult, SolveDeadlineExceeded, Solver, neg, pos
 from oracles import random_cnf, truth_table, truth_table_sat
 
 
@@ -325,3 +325,36 @@ def test_activity_rescale_rebuilds_heap_from_value_table():
     for _ in range(20):
         assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
         assert s.solve(assumptions).sat == truth_table_sat(n, clauses, assumptions)
+
+
+def test_reduce_db_drops_a_stale_reason_and_keeps_a_locked_clause():
+    # cancel_until leaves an unassigned variable's reason in place; a learnt
+    # clause that is only such a stale reason must not count as locked
+    s = Solver()
+    for _ in range(4):
+        s.new_var()
+
+    def learnt(lits, act):
+        c = Learnt(lits)
+        c.act = act
+        s.learnts.append(c)
+        s.watches[c[0] ^ 1].append(c)
+        s.watches[c[1] ^ 1].append(c)
+        return c
+
+    active = [learnt([pos(0), pos(1)], 4.0), learnt([pos(2), pos(3)], 3.0)]
+    locked = learnt([pos(0), neg(1)], 2.0)
+    stale = learnt([pos(2), neg(3)], 1.0)
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(pos(1), None)
+    s._enqueue(pos(0), locked)
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(pos(3), None)
+    s._enqueue(pos(2), stale)
+    s.cancel_until(1)
+    assert s.val[pos(2)] == 2 and s.reason[2] is stale
+    assert s.val[pos(0)] == 1 and s.reason[0] is locked
+    s.reduce_db()  # keeps the more active half and every locked clause
+    assert s.learnts == [*active, locked] and s.learnts[-1] is locked
+    watched = [c for ws in s.watches for c in ws]
+    assert sum(c is locked for c in watched) == 2 and all(c is not stale for c in watched)
