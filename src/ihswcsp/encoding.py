@@ -15,9 +15,20 @@ every value variable, so a forbid clause is sorted as built when its scope
 ascends (merged scopes always do); other scopes are sorted here.  While the
 solver is consistent and its root trail is empty, ``add_clause`` would store
 such a clause of two or more literals exactly as given, with the same watches,
-so it is stored directly.  A unit clause (a domain of one value, a unary hard
+so it is stored directly, as the plain list it was built as; a list the
+encoder keeps (``value_lit``) is copied first, since propagation reorders a
+stored clause in place.  A unit clause (a domain of one value, a unary hard
 constraint, an empty scope) and every clause after one still go through
 ``add_clause``, which simplifies them against the root values.
+
+Merged tables hold most of the clauses on large instances.  Each lists every
+tuple, as does a parsed table that lists them all; such a full table of at
+least ``ROW_MIN_TUPLES`` tuples has its forbid clauses built as the rows of
+an object array, with one numpy gather per clause position, in place of a
+Python loop per tuple; 4096 tuples at a time, with a deadline poll between
+batches.  The rows come in product order, the order the loop takes, and hold
+the same int objects.  Below that size the per-tuple loop is faster, so
+smaller and partial tables keep it.
 """
 
 from __future__ import annotations
@@ -28,9 +39,17 @@ from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 
+import numpy as np
+
 from .model import Assignment, CostVector, LevelSpace, WcspInstance
-from .sat import Clause, SolveDeadlineExceeded, Solver, pos
+from .sat import SolveDeadlineExceeded, Solver
 from .wcsp_io import ENUMERATION_CAP
+
+# A full table of at least this many tuples has its forbid clauses built as
+# array rows (``_forbidding_rows``), a smaller one by the per-tuple generator.
+# Timed per table on a 2-core host, the rows took 2.6x the generator's time at
+# 8-15 tuples, about 1.0x at 32, 0.6-0.75x at 64-127 and 0.4x from 512 up.
+ROW_MIN_TUPLES = 64
 
 
 def _scope_key(scope):
@@ -74,26 +93,35 @@ class InducedCspEncoding:
                     f"at default cost {f.default_cost}, more than the {ENUMERATION_CAP} "
                     "the encoding enumerates"
                 )
-        self.solver = Solver()
-        self.solver.deadline = deadline
+        self.solver = solver = Solver()
+        solver.deadline = deadline
         self.num_solves = 0
         self.solve_time = 0.0
 
-        solver = self.solver
+        # every value variable, then every selector variable, in one step
+        n_sels = sum(len(f.levels) for f in instance.cost_functions)
+        solver._ensure_var(sum(instance.domains) + n_sels - 1)
         self.value_lit: list[list[int]] = []
+        first = 0
         for d in instance.domains:
-            lits = [pos(solver.new_var()) for _ in range(d)]
+            lits = list(range(2 * first, 2 * (first + d), 2))
+            first += d
             self.value_lit.append(lits)
-            self._add([lits, *([a ^ 1, b ^ 1] for a, b in itertools.combinations(lits, 2))])
+            # a copy: a stored clause is reordered in place by propagation
+            self._add([lits[:], *([a ^ 1, b ^ 1] for a, b in itertools.combinations(lits, 2))])
 
         for hc in instance.hard_constraints:
             self._add(self._forbidding(hc.scope, ((t, None) for t in sorted(hc.forbidden))))
 
         self.sel: list[dict[int, int]] = []  # per component: level -> its selector
         for i, f in enumerate(instance.cost_functions):
-            sels = [pos(solver.new_var()) for _ in f.levels]
+            sels = list(range(2 * first, 2 * (first + len(f.levels)), 2))
+            first += len(f.levels)
             self._add([a ^ 1, b] for a, b in zip(sels, sels[1:]))
             self.sel.append(dict(zip(f.levels, sels)))
+            if not n_unlisted[i] and len(f.explicit) >= ROW_MIN_TUPLES:
+                self._add(self._forbidding_rows(f, sels))
+                continue
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
             explicit = sorted(f.explicit.items())
@@ -125,10 +153,34 @@ class InducedCspEncoding:
             if solver.trail or not solver.ok or len(lits) < 2:
                 solver.add_clause(lits)
                 continue
-            c = Clause(lits)
-            stored.append(c)
-            watches[c[0] ^ 1].append(c)
-            watches[c[1] ^ 1].append(c)
+            stored.append(lits)
+            watches[lits[0] ^ 1].append(lits)
+            watches[lits[1] ^ 1].append(lits)
+
+    def _forbidding_rows(self, f, sels: list[int]):
+        """Yield the clauses ``_forbidding`` yields for the costed tuples of
+        the full table ``f``, built 4096 tuples of the product order at a
+        time as the rows of an object array: each tuple takes its literal in
+        each scope column, and the negated selector below its cost, by one
+        gather per column over the negated literals, so every clause holds
+        the same int objects.  Value literals order as their variables, so a
+        scope that does not ascend is sorted by ordering the columns."""
+        level_of = {c: j for j, c in enumerate(f.levels)}
+        dims = [len(self.value_lit[x]) for x in f.scope]
+        negs = [
+            (p, np.array([lit ^ 1 for lit in self.value_lit[f.scope[p]]], object))
+            for p in sorted(range(len(f.scope)), key=f.scope.__getitem__)
+        ]
+        sel_negs = np.array([lit ^ 1 for lit in sels], object)
+        tuples = itertools.product(*map(range, dims))
+        levels = map(level_of.__getitem__, map(f.explicit.__getitem__, tuples))
+        for start in range(0, len(f.explicit), 4096):
+            level = np.fromiter(itertools.islice(levels, 4096), np.intp)
+            costed = np.flatnonzero(level)  # the tuples above the baseline level
+            values = np.unravel_index(costed + start, dims)
+            columns = [neg[values[p]] for p, neg in negs]
+            columns.append(sel_negs[level[costed] - 1])
+            yield from np.stack(columns, axis=1).tolist()
 
     def _forbidding(self, scope, pairs):
         """Yield, for each ``(t, sel)`` of ``pairs``, the sorted clause that

@@ -26,6 +26,12 @@ conflict analysis reads reason clauses whole.  ``cancel_until`` leaves an
 unassigned variable's reason stale, so a learnt clause is locked only while
 its first literal is true.
 
+A problem clause is a plain ``list`` of literals, so ``c[k]`` takes
+CPython's exact-list subscript path; only a learnt clause is a ``Learnt``,
+the list subclass that carries its activity.  ``add_clause`` stores its own
+sorted copy; a caller that stores a clause directly must hand over a list it
+does not keep.  ``_ensure_var`` creates any number of variables in one step.
+
 Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 ``2*v + 1`` (negative); ``lit ^ 1`` negates.
 """
@@ -51,16 +57,10 @@ def neg(v: int) -> int:
     return (v << 1) | 1
 
 
-class Clause(list):
-    """A problem clause; built by list's own constructor, so it is cheap."""
+class Learnt(list):
+    """A learnt clause with its activity; problem clauses are plain lists."""
 
-    __slots__ = ()
-    learnt = False
-
-
-class Learnt(Clause):
     __slots__ = ("act",)
-    learnt = True
 
 
 @dataclass
@@ -86,12 +86,12 @@ class Solver:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[Clause] = []
+        self.clauses: list[list[int]] = []
         self.learnts: list[Learnt] = []
-        self.watches: list[list[Clause]] = []
+        self.watches: list[list[list[int]]] = []
         self.val: list[int] = []  # per literal: 1 true, 0 false, 2 unassigned
         self.level: list[int] = []
-        self.reason: list[Clause | None] = []
+        self.reason: list[list[int] | None] = []
         self.polarity: list[int] = []
         self.activity: list[float] = []
         self.heap: list[tuple[float, int]] = []
@@ -110,23 +110,27 @@ class Solver:
     # -- variables and clauses ------------------------------------------------
 
     def new_var(self) -> int:
-        v = self.num_vars
-        self.num_vars += 1
-        self.watches.append([])
-        self.watches.append([])
-        self.val += (2, 2)
-        self.level.append(0)
-        self.reason.append(None)
-        self.polarity.append(0)
-        self.activity.append(0.0)
-        self.seen.append(0)
-        self.in_heap.append(1)
-        heappush(self.heap, (-0.0, v))
-        return v
+        self._ensure_var(self.num_vars)
+        return self.num_vars - 1
 
     def _ensure_var(self, v: int) -> None:
-        while self.num_vars <= v:
-            self.new_var()
+        """Create variables up to ``v`` in one step.  A new variable's heap
+        entry ``(-0.0, v)`` is at least every entry already held (keys are
+        never positive, and its index is the largest), so appending the new
+        entries in order is what one ``heappush`` each would do."""
+        first, n = self.num_vars, v + 1 - self.num_vars
+        if n <= 0:
+            return
+        self.num_vars = v + 1
+        self.watches += [[] for _ in range(2 * n)]
+        self.val += [2] * (2 * n)
+        self.level += [0] * n
+        self.reason += [None] * n
+        self.polarity += [0] * n
+        self.activity += [0.0] * n
+        self.seen += bytes(n)
+        self.in_heap += b"\x01" * n
+        self.heap += [(-0.0, u) for u in range(first, v + 1)]
 
     def add_clause(self, lits) -> None:
         """Add a permanent clause.  Tautologies are dropped, duplicate and
@@ -157,14 +161,13 @@ class Solver:
             if self.propagate() is not None:
                 self.ok = False
             return
-        c = Clause(out)
-        self.clauses.append(c)
-        self.watches[c[0] ^ 1].append(c)
-        self.watches[c[1] ^ 1].append(c)
+        self.clauses.append(out)
+        self.watches[out[0] ^ 1].append(out)
+        self.watches[out[1] ^ 1].append(out)
 
     # -- assignment trail ------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = lit >> 1
         self.val[lit] = 1
         self.val[lit ^ 1] = 0
@@ -194,7 +197,7 @@ class Solver:
 
     # -- propagation -----------------------------------------------------------
 
-    def propagate(self) -> Clause | None:
+    def propagate(self) -> list[int] | None:
         val, watches, trail = self.val, self.watches, self.trail
         level, reason = self.level, self.reason
         level_now = len(self.trail_lim)
@@ -260,14 +263,14 @@ class Solver:
         self.heap[:] = [(-self.activity[v], v) for v in range(self.num_vars) if self.in_heap[v]]
         heapify(self.heap)
 
-    def _bump_cla(self, c: Clause) -> None:
+    def _bump_cla(self, c: Learnt) -> None:
         c.act += self.cla_inc
         if c.act > 1e20:
             for lc in self.learnts:
                 lc.act *= 1e-20
             self.cla_inc *= 1e-20
 
-    def analyze(self, confl: Clause) -> tuple[list[int], int]:
+    def analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learning; returns the learnt clause (asserting literal
         first) and the backjump level.  A bumped variable is assigned, so it
         leaves the heap until ``cancel_until`` pushes its new activity.  A
@@ -280,7 +283,7 @@ class Solver:
         counter = 0
         index = len(trail) - 1
         while True:
-            if confl.learnt:
+            if confl.__class__ is Learnt:
                 self._bump_cla(confl)
             for q in confl:
                 v = q >> 1
@@ -360,7 +363,7 @@ class Solver:
         one: the reason of an assigned literal, not a stale reason."""
         self.learnts.sort(key=lambda c: c.act, reverse=True)
         keep = len(self.learnts) // 2
-        kept: list[Clause] = []
+        kept: list[Learnt] = []
         for i, c in enumerate(self.learnts):
             locked = self.val[c[0]] == 1 and self.reason[c[0] >> 1] is c
             if i < keep or locked:

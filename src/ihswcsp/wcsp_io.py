@@ -144,6 +144,8 @@ def parse_wcsp(text: str) -> WcspInstance:
                 raise WcspParseError(t_no, f"tuple value out of domain range in {t}")
             if c < 0:
                 raise WcspParseError(t_no, "negative cost")
+            if t in raw:
+                raise WcspParseError(t_no, f"tuple {t} listed twice")
             raw[t] = c
 
         forbidden = {t for t, c in raw.items() if c >= top}

@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
+from ihswcsp.encoding import ROW_MIN_TUPLES, InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.model import (
     CostFunction,
     HardConstraint,
@@ -15,7 +16,8 @@ from ihswcsp.model import (
     make_cost_function,
 )
 from ihswcsp.merge import build_merged
-from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform
+from ihswcsp.sat import SolveDeadlineExceeded
+from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform, parse_wcsp
 from oracles import dominates, enumerate_assignments, random_tiny_instance, reference_encoding_solver
 
 
@@ -190,17 +192,39 @@ def _watch_indices(solver):
     return [[index[id(c)] for c in ws] for ws in solver.watches]
 
 
-def test_clauses_watches_and_trail_match_add_clause_encoder():
+def _parsed_full_table(rng, domains, scope, root_value=False):
+    """A parsed instance of one full table over ``scope`` with its tuples
+    listed in a shuffled order and a default (50) above every cost; with
+    ``root_value``, a hard unary function forbids value 0 of ``scope[0]``,
+    which falsifies its literal at the root."""
+    tuples = list(itertools.product(*(range(domains[x]) for x in scope)))
+    rng.shuffle(tuples)
+    lines = [f"full {len(domains)} {max(domains)} {1 + root_value} 100", " ".join(map(str, domains)),
+             f"{len(scope)} {' '.join(map(str, scope))} 50 {len(tuples)}"]
+    lines += [" ".join(map(str, (*t, rng.choice((0, 0, 3, 7, 20))))) for t in tuples]
+    if root_value:
+        lines += [f"1 {scope[0]} 0 1", "0 100"]
+    return parse_wcsp("\n".join(lines) + "\n")
+
+
+def test_clauses_watches_and_trail_match_add_clause_encoder(monkeypatch):
     # the encoding stores clean clauses without add_clause's checks; the
     # reference passes every clause through add_clause, so the stored
     # clauses (with literal order), every watch list (as clause indices) and
     # the root trail must be the same
-    from ihswcsp.merge import build_merged
-    from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
-
     rng = random.Random(45)
     seen = {"unit_domain": 0, "unary_hard": 0, "binary_hard": 0, "unsorted_scope": 0,
-            "unlisted": 0, "merged": 0}
+            "unlisted": 0, "merged": 0, "rows": 0, "rows_unsorted_scope": 0,
+            "rows_after_root": 0, "below_split": 0}
+    rows = InducedCspEncoding._forbidding_rows
+
+    def counted(self, f, sels):
+        seen["rows"] += 1
+        seen["rows_unsorted_scope"] += list(f.scope) != sorted(f.scope)
+        seen["rows_after_root"] += bool(self.solver.trail)
+        return rows(self, f, sels)
+
+    monkeypatch.setattr(InducedCspEncoding, "_forbidding_rows", counted)
     instances = []
     for k in range(150):
         w = random_tiny_instance(rng, max_vars=5, max_funcs=4)
@@ -208,8 +232,20 @@ def test_clauses_watches_and_trail_match_add_clause_encoder():
         if k % 3 == 0:
             instances.append(build_merged(w).view)
             seen["merged"] += 1
-    # ingest-shaped: merged tables over ascending scopes, tens of thousands of clauses
-    instances.append(build_merged(gen_uniform(GeneratorParams(120, 6, 240, 6, 12, seed=1))).view)
+    # full tables one tuple below, at and above the size split, and one of
+    # more than 4096 tuples (two row batches), over scopes that do not ascend
+    for domains, scope in [((9, 7), (1, 0)), ((8, 8), (1, 0)), ((13, 5), (1, 0)),
+                           ((4, 4, 4), (2, 0, 1)), ((3, 3, 7), (0, 2, 1)),
+                           ((9, 8, 9, 8), (3, 1, 0, 2))]:
+        for root_value in (False, True):
+            w = _parsed_full_table(rng, domains, scope, root_value)
+            seen["below_split"] += len(w.cost_functions[0].explicit) < ROW_MIN_TUPLES
+            instances.append(w)
+    # the ingest workload's merged views: full tables of up to 4096 tuples,
+    # tens of thousands of clauses each
+    ingest = [(gen_uniform, (120, 6, 240, 6, 12), 1), (gen_scale_free, (150, 5, 2, 6, 10), 2),
+              (gen_uniform, (60, 8, 120, 8, 24), 2)]
+    instances += [build_merged(gen(GeneratorParams(*p, seed=s))).view for gen, p, s in ingest]
     for w in instances:
         seen["unit_domain"] += 1 in w.domains
         for scope in [hc.scope for hc in w.hard_constraints] + [f.scope for f in w.cost_functions]:
@@ -225,6 +261,46 @@ def test_clauses_watches_and_trail_match_add_clause_encoder():
         assert got.clauses == want.clauses
         assert _watch_indices(got) == _watch_indices(want)
     assert all(seen.values()), seen
+
+
+def test_deadline_interrupts_a_full_table_between_row_batches():
+    # the rows of one 2**18-tuple table take about a quarter second to build
+    # whole; built and stored 4096 tuples at a time, with a poll between
+    # batches, the build ends soon after the deadline
+    domains = (16, 16, 32, 32)
+    table = dict.fromkeys(itertools.product(*map(range, domains)), 1)
+    table[(0,) * 4] = 0
+    w = WcspInstance("full", domains, (), (CostFunction((0, 1, 2, 3), 1, table, (0, 1)),), 10)
+    started = time.perf_counter()
+    with pytest.raises(SolveDeadlineExceeded):
+        InducedCspEncoding(w, deadline=started + 0.05)
+    assert time.perf_counter() - started < 0.05 + 0.1
+
+
+def test_literal_table_is_never_a_stored_clause():
+    # propagation reorders a stored clause in place: at the root after the
+    # unary hard constraint, and in every search; a variable's at-least-one
+    # clause that were value_lit's own list would reorder the table that
+    # later clauses and the decoding read
+    hard = HardConstraint((1,), frozenset({(0,)}))
+    f = make_cost_function((0, 1), 4, {(0, 1): 2, (1, 1): 1, (2, 1): 3, (0, 2): 0}, (3, 3, 2))
+    g = make_cost_function((1, 2), 1, {(1, 0): 0, (2, 1): 2}, (3, 3, 2))
+    w = WcspInstance("alias", (3, 3, 2), (hard,), (f, g), 20)
+    enc = InducedCspEncoding(w)
+    assert enc.solver.trail  # root propagation happened
+    table = [list(range(0, 6, 2)), list(range(6, 12, 2)), list(range(12, 16, 2))]
+    vectors = list(_level_space(w))
+    sat = 0
+    for v in vectors:
+        res = enc.solve_induced(v)
+        assert isinstance(res, Satisfiable) == _induced_sat_by_enumeration(w, v)
+        if isinstance(res, Satisfiable):
+            sat += 1
+            assert evaluate(w, res.assignment)[:2] == (True, res.solution_vector)
+    assert 0 < sat < len(vectors)
+    assert enc.value_lit == table
+    kept = {id(lits) for lits in enc.value_lit}
+    assert not any(id(c) in kept for c in enc.solver.clauses + enc.solver.learnts)
 
 
 def _check_sat_answers_decode_their_models(w, vectors):

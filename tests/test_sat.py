@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from heapq import heappush
 
 import pytest
 
@@ -15,6 +16,30 @@ def test_new_var_monotone():
     assert s.new_var() == 1
     s.add_clause([pos(5)])
     assert s.new_var() >= 6
+
+
+def test_ensure_var_in_one_step_matches_one_new_var_at_a_time():
+    def bumped():
+        # conflicts bump activities, so the heap holds keys below -0.0
+        rng = random.Random(5)
+        s = Solver()
+        for _ in range(70):
+            s.add_clause([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(16), 3)])
+        for _ in range(10):
+            s.solve([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(16), 3)])
+        assert s.conflicts and min(s.heap)[0] < 0
+        return s
+
+    for make in (Solver, bumped):
+        batch, single = make(), make()
+        heap = list(single.heap)
+        batch._ensure_var(batch.num_vars + 6)
+        for _ in range(7):
+            heappush(heap, (-0.0, single.new_var()))
+        assert single.heap == heap
+        for name in ("num_vars", "watches", "val", "level", "reason", "polarity", "activity",
+                     "seen", "in_heap", "heap"):
+            assert getattr(batch, name) == getattr(single, name), name
 
 
 def test_empty_clause_is_permanent_unsat():

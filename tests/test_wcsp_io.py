@@ -67,6 +67,15 @@ def test_parse_mixed_function_splits():
     assert w.cost_functions[0].levels == (0, 4)
 
 
+def test_parse_refuses_a_repeated_tuple():
+    # the header promises two tuples; keeping the last cost would let the
+    # repeat override the first, and a tuple at top (10) stop being forbidden
+    for first, second in ((3, 5), (3, 10), (10, 3)):
+        text = f"x 2 2 1 10\n2 2\n2 0 1 0 2\n0 0 {first}\n0 0 {second}\n"
+        with pytest.raises(WcspParseError, match=r"^line 5: tuple \(0, 0\) listed twice$"):
+            parse_wcsp(text)
+
+
 def test_write_empty_instance():
     w = WcspInstance("empty", (2, 3), (), (), 5)
     assert write_wcsp(w) == "empty 2 3 0 5\n2 3\n"
