@@ -9,6 +9,7 @@ from .model import (
     Assignment,
     CostFunction,
     CostVector,
+    FullTable,
     HardConstraint,
     LevelSpace,
     WcspInstance,
@@ -32,6 +33,7 @@ __all__ = [
     "CostFunction",
     "CostVector",
     "EnumerationCapExceeded",
+    "FullTable",
     "GeneratorParams",
     "HardConstraint",
     "HittingProblem",

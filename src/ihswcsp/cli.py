@@ -128,6 +128,9 @@ def _cmd_generate(args) -> int:
     except ValueError:
         print("error: --params must be five comma-separated integers n,d,m,w,t", file=sys.stderr)
         return 1
+    if args.count < 0:
+        print(f"error: --count must be 0 or more, not {args.count}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,14 +21,17 @@ stored clause in place.  A unit clause (a domain of one value, a unary hard
 constraint, an empty scope) and every clause after one still go through
 ``add_clause``, which simplifies them against the root values.
 
-Merged tables hold most of the clauses on large instances.  Each lists every
-tuple, as does a parsed table that lists them all; such a full table of at
+Merged tables hold most of the clauses on large instances.  Each is a
+``FullTable``: a read-only mapping of every tuple, held as its costs in
+product order.  Such a table, or a parsed table that lists every tuple, of at
 least ``ROW_MIN_TUPLES`` tuples has its forbid clauses built as the rows of
 an object array, with one numpy gather per clause position, in place of a
 Python loop per tuple; 4096 tuples at a time, with a deadline poll between
 batches.  The rows come in product order, the order the loop takes, and hold
-the same int objects.  Below that size the per-tuple loop is faster, so
-smaller and partial tables keep it.
+the same int objects; a ``FullTable``'s levels are read straight off its cost
+list, a dict's by one lookup per tuple.  Below that size the per-tuple loop is
+faster, so smaller and partial tables keep it.  The decoding reads a
+``FullTable``'s cost by flat index.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
-from .model import Assignment, CostVector, LevelSpace, WcspInstance
+from .model import Assignment, CostVector, FullTable, LevelSpace, WcspInstance
 from .sat import SolveDeadlineExceeded, Solver
 from .wcsp_io import ENUMERATION_CAP
 
@@ -124,7 +127,11 @@ class InducedCspEncoding:
                 continue
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
-            explicit = sorted(f.explicit.items())
+            table = f.explicit
+            if isinstance(table, FullTable):
+                explicit = zip(table, table.costs)  # product order is sorted order
+            else:
+                explicit = sorted(table.items())
             self._add(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
             # a full table has no unlisted tuple to enumerate; the others are
             # streamed, never held as a list
@@ -134,10 +141,14 @@ class InducedCspEncoding:
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
                 self._add(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
         # for decoding: each variable's first value variable, and each
-        # function's table lookup, scope key and default
+        # function's scope key and table lookup: a dict's with its default, a
+        # FullTable's cost list with its strides (a tuple)
         self._first = [lits[0] >> 1 for lits in self.value_lit]
         self._tables = [
-            (f.explicit.get, _scope_key(f.scope), f.default_cost) for f in instance.cost_functions
+            (_scope_key(f.scope), f.explicit.costs.__getitem__, f.explicit.strides)
+            if isinstance(f.explicit, FullTable)
+            else (_scope_key(f.scope), f.explicit.get, f.default_cost)
+            for f in instance.cost_functions
         ]
 
     def _add(self, clauses) -> None:
@@ -172,8 +183,11 @@ class InducedCspEncoding:
             for p in sorted(range(len(f.scope)), key=f.scope.__getitem__)
         ]
         sel_negs = np.array([lit ^ 1 for lit in sels], object)
-        tuples = itertools.product(*map(range, dims))
-        levels = map(level_of.__getitem__, map(f.explicit.__getitem__, tuples))
+        if isinstance(f.explicit, FullTable):
+            costs = f.explicit.costs
+        else:
+            costs = map(f.explicit.__getitem__, itertools.product(*map(range, dims)))
+        levels = map(level_of.__getitem__, costs)
         for start in range(0, len(f.explicit), 4096):
             level = np.fromiter(itertools.islice(levels, 4096), np.intp)
             costed = np.flatnonzero(level)  # the tuples above the baseline level
@@ -226,7 +240,10 @@ class InducedCspEncoding:
             # exactly one value variable of each WCSP variable is true
             model = res.model
             a = tuple([model.index(True, first) - first for first in self._first])
-            sv = tuple([get(key(a), default) for get, key, default in self._tables])
+            sv = tuple([
+                get(sum(map(mul, key(a), arg))) if type(arg) is tuple else get(key(a), arg)
+                for key, get, arg in self._tables
+            ])
             out: Satisfiable | Unsatisfiable = Satisfiable(a, sv)
         else:
             failed = set(res.failed)

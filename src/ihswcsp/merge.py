@@ -4,9 +4,11 @@ Functions whose scopes land in the same decomposition cluster are merged into
 a single cost function over the union scope, shrinking the dimension of the
 cost-vector space while preserving the optimum.  The merged table is built by
 numpy broadcasting: each member becomes a dense array over its own scope,
-transposed into the union scope's axis order and summed in.  Clusters whose
-union table would exceed ``MERGE_CAP`` assignments fall back to the original
-unmerged functions.
+transposed into the union scope's axis order and summed in.  The sum is kept
+as a ``FullTable``, a dense, read-only mapping over its costs in product
+order, which the encoder reads as they are: no tuple-keyed dict is built for
+a merged table.  Clusters whose union table would exceed ``MERGE_CAP``
+assignments fall back to the original unmerged functions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import CostFunction, WcspInstance
+from .model import CostFunction, FullTable, WcspInstance
 
 MERGE_CAP = 4096  # the most assignments a merged function's table may hold
 
@@ -101,9 +103,8 @@ def _merge_group(
             [w.domains[x] if x in f.scope else 1 for x in scope]
         )
     costs = total.ravel().tolist()
-    table = dict(zip(itertools.product(*map(range, total.shape)), costs))
     levels = tuple(sorted(set(costs)))
-    return CostFunction(scope, levels[0], table, levels)
+    return CostFunction(scope, levels[0], FullTable(total.shape, costs), levels)
 
 
 def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[int, list[int]]:

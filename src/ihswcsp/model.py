@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 from typing import Iterable
 
 CostVector = tuple[int, ...]
@@ -27,18 +30,50 @@ class HardConstraint:
         return tuple(assignment[x] for x in self.scope) in self.forbidden
 
 
+class FullTable(Mapping):
+    """A read-only table that lists every tuple of a scope: ``costs`` holds
+    the cost of each tuple in product order (the last position varies
+    fastest) over ``shape``, the scope's domain sizes, and ``strides`` each
+    position's weight in a tuple's index into ``costs``.  It equals the dict
+    of the same tuples and costs, and iterates in the same order."""
+
+    def __init__(self, shape: tuple[int, ...], costs: list[int]):
+        if len(costs) != prod(shape):
+            raise ValueError(f"{len(costs)} costs for a table of shape {shape}")
+        self.shape = shape = tuple(shape)
+        self.costs = costs
+        self.strides = tuple(prod(shape[p + 1 :]) for p in range(len(shape)))
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.shape))
+
+    def __getitem__(self, key: tuple[int, ...]) -> int:
+        try:
+            if type(key) is tuple and len(key) == len(self.shape):
+                if all(0 <= a < d for a, d in zip(key, self.shape)):
+                    return self.costs[sum(map(mul, key, self.strides))]
+        except TypeError:  # an entry that is not an integer
+            pass
+        raise KeyError(key)
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Table-defined cost function over an ordered variable scope.
 
-    ``levels`` is the sorted set of costs the function ranges over; every
-    explicit cost appears in it, and it may carry extra levels (they only
-    enlarge the vector space, never change the optimum).
+    ``explicit`` maps listed tuples to their costs: a dict for a parsed
+    table, a ``FullTable`` for a merged one.  ``levels`` is the sorted set of
+    costs the function ranges over; every explicit cost appears in it, and it
+    may carry extra levels (they only enlarge the vector space, never change
+    the optimum).
     """
 
     scope: tuple[int, ...]
     default_cost: int
-    explicit: dict[tuple[int, ...], int]
+    explicit: Mapping[tuple[int, ...], int]
     levels: tuple[int, ...]
 
     def value(self, assignment: Assignment) -> int:
@@ -141,7 +176,14 @@ class WcspInstance:
             if not (0 <= f.levels[0] and f.levels[-1] < self.top):
                 raise ValueError("levels must lie in [0, top)")
             level_set = set(f.levels)
-            if self._tuples_fit(f.explicit, f.scope) and level_set.issuperset(f.explicit.values()):
+            if isinstance(f.explicit, FullTable):
+                shape = tuple(self.domains[x] for x in f.scope)
+                if f.explicit.shape != shape:
+                    raise ValueError(f"table shape {f.explicit.shape} is not {shape}, "
+                                     f"the domains of scope {f.scope}")
+                if level_set.issuperset(f.explicit.costs):
+                    continue
+            elif self._tuples_fit(f.explicit, f.scope) and level_set.issuperset(f.explicit.values()):
                 continue
             for t, c in f.explicit.items():  # find and name the first bad entry
                 self._check_tuple(t, f.scope)

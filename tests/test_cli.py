@@ -87,6 +87,14 @@ def test_generate_count_zero(tmp_path):
     assert not list(out.glob("*.wcsp"))
 
 
+def test_generate_negative_count_exits_one_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["generate", "--class", "uniform", "--params", "6,2,5,2,3",
+                 "--count", "-2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --count must be 0 or more, not -2\n"
+    assert not out.exists()
+
+
 def test_parse_matrix_full_and_restricted():
     assert len(parse_matrix(None)) == 32
     got = parse_matrix("hv=lb,ub;core=maximal;merge=on", time_limit=5.0)

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from ihswcsp.merge import _group_by_cluster, _merge_group, build_merged, min_fill_order
-from ihswcsp.model import CostFunction, WcspInstance, evaluate, make_cost_function
-from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
+from ihswcsp.model import CostFunction, FullTable, WcspInstance, evaluate, make_cost_function
+from ihswcsp.wcsp_io import (
+    GeneratorParams,
+    brute_force_optimum,
+    gen_scale_free,
+    gen_uniform,
+    parse_wcsp,
+    write_wcsp,
+)
 from oracles import (
     group_by_cluster_slow,
     merge_group_slow,
@@ -123,6 +130,62 @@ def test_merge_group_matches_enumeration():
         fast, slow = _merge_group(w, group), merge_group_slow(w, group)
         assert fast == slow
         assert list(fast.explicit) == list(slow.explicit)
+
+
+def test_full_table_reads_as_the_dict_it_replaces():
+    # each merged table is a FullTable; it must read as the reference
+    # merge's dict in every way the library and its users read a table
+    rng = random.Random(33)
+    tables = 0
+    for _ in range(150):
+        w = random_tiny_instance(rng, max_vars=5, max_funcs=5)
+        merged = build_merged(w)
+        as_dicts = []
+        for group, f in zip(merged.clusters, merged.view.cost_functions):
+            if len(group) == 1:
+                as_dicts.append(f)
+                continue
+            table, ref = f.explicit, merge_group_slow(w, group).explicit
+            assert type(table) is FullTable
+            tables += 1
+            assert table == ref and ref == table
+            assert list(table) == list(ref) and list(table.items()) == list(ref.items())
+            assert len(table) == len(ref)
+            k = len(table.shape)
+            # wrong arities, out of domain, negative, not tuples
+            bad = [(0,) * (k + 1), (0,) * (k - 1), table.shape, (-1,) + (0,) * (k - 1),
+                   0, "ab", None]
+            for key in [*ref, *bad]:
+                assert table.get(key, "none") == ref.get(key, "none")
+                assert (key in table) == (key in ref)
+            for key in bad:
+                with pytest.raises(KeyError):
+                    table[key]
+            as_dicts.append(CostFunction(f.scope, f.default_cost, ref, f.levels))
+        dict_view = WcspInstance(w.name, w.domains, w.hard_constraints, tuple(as_dicts),
+                                 merged.view.top)
+        for a in itertools.product(*map(range, w.domains)):
+            assert evaluate(merged.view, a) == evaluate(dict_view, a)
+        # the parser folds a function of one level into the offset
+        text = write_wcsp(merged.view)
+        assert text == write_wcsp(dict_view)
+        again = parse_wcsp(text)
+        assert again.cost_functions == tuple(f for f in as_dicts if len(f.levels) > 1)
+    assert tables > 50
+
+
+def test_merging_and_validating_a_view_read_no_table_tuple(monkeypatch):
+    # a merged table is built and checked as its cost list: reading any of
+    # its tuples, as a tuple-keyed dict or a per-tuple check would, fails
+    def refuse(self, *args):
+        raise AssertionError("a merged table was read tuple by tuple")
+
+    monkeypatch.setattr(FullTable, "__iter__", refuse)
+    monkeypatch.setattr(FullTable, "__getitem__", refuse)
+    merged = build_merged(gen_uniform(GeneratorParams(60, 8, 120, 8, 24, seed=2)))
+    assert merged.merged_clusters > 10
+    for group, f in zip(merged.clusters, merged.view.cost_functions):
+        assert type(f.explicit) is (FullTable if len(group) > 1 else dict)
 
 
 def test_merge_group_sums_past_int64_exactly():

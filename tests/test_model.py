@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ihswcsp.hitting import HittingProblem
 from ihswcsp.model import (
     CostFunction,
+    FullTable,
     HardConstraint,
     LevelSpace,
     WcspInstance,
@@ -201,3 +202,20 @@ def test_validation_names_a_bad_tuple_among_many_good(bad, cost):
             WcspInstance("bad", (30, 20), (hc,), (), 10)
     del explicit[bad]
     WcspInstance("good", (30, 20), (), (CostFunction((1, 0), 0, explicit, (0, 1, 2)),), 10)
+
+
+def test_full_table_validation():
+    # scope (1, 0) over domains (2, 3): shape (3, 2), costs in product order
+    def instance(shape, costs, domains=(2, 3)):
+        f = CostFunction((1, 0), 0, FullTable(shape, costs), (0, 1, 2))
+        return WcspInstance("full", domains, (), (f,), 10)
+
+    w = instance((3, 2), [0, 1, 2, 0, 1, 2])
+    assert w.cost_functions[0].value((1, 2)) == 2
+    with pytest.raises(ValueError, match=re.escape("table shape (3, 2) is not (2, 3)")):
+        instance((3, 2), [0, 1, 2, 0, 1, 2], domains=(3, 2))
+    missing = re.escape("explicit cost 7 of tuple (2, 0) missing from levels")
+    with pytest.raises(ValueError, match=missing):
+        instance((3, 2), [0, 1, 2, 0, 7, 2])
+    with pytest.raises(ValueError, match="5 costs for a table of shape"):
+        FullTable((3, 2), [0] * 5)
