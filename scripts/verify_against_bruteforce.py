@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Randomized soak test: generate instances, solve them with every
-configuration, and compare each optimum against exhaustive enumeration.
+configuration (hitting-vector strategy, core strategy, merging and the
+disjoint phase, 64 in all), and compare each optimum against exhaustive
+enumeration.
 
 Usage:
     python3 scripts/verify_against_bruteforce.py [--trials N] [--seed S]
@@ -10,6 +12,7 @@ wcsp format so it can be replayed with the CLI.
 """
 
 import argparse
+import itertools
 import random
 import sys
 
@@ -39,16 +42,17 @@ def run(argv=None) -> int:
                                 seed=rng.randrange(1 << 30))
             inst = gen_uniform(p)
         expected = brute_force_optimum(inst)
-        for hv in HV_STRATEGIES:
-            for core in STRATEGIES:
-                for merge in (False, True):
-                    report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge))
-                    if report.optimum != expected:
-                        print(f"MISMATCH trial={trial} hv={hv} core={core} merge={merge}: "
-                              f"got {report.optimum}, expected {expected}")
-                        print(write_wcsp(inst))
-                        return 1
-        configs = len(HV_STRATEGIES) * len(STRATEGIES) * 2
+        configs = 0
+        for hv, core, merge, disjoint in itertools.product(
+            HV_STRATEGIES, STRATEGIES, (False, True), (False, True)
+        ):
+            report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
+            if report.optimum != expected:
+                print(f"MISMATCH trial={trial} hv={hv} core={core} merge={merge} "
+                      f"disjoint={disjoint}: got {report.optimum}, expected {expected}")
+                print(write_wcsp(inst))
+                return 1
+            configs += 1
         print(f"trial {trial}: optimum {expected} confirmed by all {configs} configurations")
     return 0
 

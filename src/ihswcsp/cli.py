@@ -131,6 +131,13 @@ def _cmd_generate(args) -> int:
     if args.count < 0:
         print(f"error: --count must be 0 or more, not {args.count}", file=sys.stderr)
         return 1
+    gen = gen_uniform if args.family == "uniform" else gen_scale_free
+    seeds = range(args.seed, args.seed + args.count)
+    try:  # refuse bad parameters before --out is created
+        instances = [gen(GeneratorParams(n, d, m, w, t, seed)) for seed in seeds]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,14 +145,7 @@ def _cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     stem = args.name or args.family
-    gen = gen_uniform if args.family == "uniform" else gen_scale_free
-    for i in range(args.count):
-        seed = args.seed + i
-        try:
-            instance = gen(GeneratorParams(n, d, m, w, t, seed))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    for seed, instance in zip(seeds, instances):
         path = out_dir / f"{stem}_{seed}.wcsp"
         text = write_wcsp(instance).replace(instance.name, f"{stem}_{seed}", 1)
         path.write_text(text)

@@ -7,19 +7,13 @@ single clause anchored at the level just below its own cost.  Solving the CSP
 induced by a cost vector is then a single assumption-based SAT call, and the
 failed assumptions map directly to a lazy core.
 
-Every clause built here is already clean, so it skips ``Solver.add_clause``'s
-checks (dedupe, sort, tautology scan, root values).  ``WcspInstance`` rejects
-a repeated scope variable, so no clause repeats a variable: it has no
-duplicate literal and is no tautology.  Selector variables are created after
-every value variable, so a forbid clause is sorted as built when its scope
-ascends (merged scopes always do); other scopes are sorted here.  While the
-solver is consistent and its root trail is empty, ``add_clause`` would store
-such a clause of two or more literals exactly as given, with the same watches,
-so it is stored directly, as the plain list it was built as; a list the
-encoder keeps (``value_lit``) is copied first, since propagation reorders a
-stored clause in place.  A unit clause (a domain of one value, a unary hard
-constraint, an empty scope) and every clause after one still go through
-``add_clause``, which simplifies them against the root values.
+Every clause built here is clean, as ``Solver.add_clauses`` requires, so it
+skips ``add_clause``'s normalisation.  ``WcspInstance`` rejects a repeated
+scope variable, so no clause repeats a variable.  Selector variables are
+created after every value variable, so a forbid clause is sorted as built
+when its scope ascends (merged scopes always do); other scopes are sorted
+here.  The solver may keep a clause list it is given, so a list the encoder
+keeps (``value_lit``) is handed over as a copy.
 
 Merged tables hold most of the clauses on large instances.  Each is a
 ``FullTable``: a read-only mapping of every tuple, held as its costs in
@@ -78,8 +72,9 @@ class InducedCspEncoding:
     """One encoding (and one incremental SAT engine) per solver run.
 
     ``space`` is the instance's level grid.  ``deadline``, a
-    ``time.perf_counter()`` reading or None, becomes the solver's; the build
-    polls it too, and raises ``SolveDeadlineExceeded`` past it."""
+    ``time.perf_counter()`` reading or None, becomes the solver's, which
+    polls it while loading the clauses, and raises ``SolveDeadlineExceeded``
+    past it."""
 
     def __init__(self, instance: WcspInstance, deadline: float | None = None):
         self.space = space = LevelSpace.from_instance(instance)
@@ -111,19 +106,19 @@ class InducedCspEncoding:
             first += d
             self.value_lit.append(lits)
             # a copy: a stored clause is reordered in place by propagation
-            self._add([lits[:], *([a ^ 1, b ^ 1] for a, b in itertools.combinations(lits, 2))])
+            solver.add_clauses([lits[:], *([a ^ 1, b ^ 1] for a, b in itertools.combinations(lits, 2))])
 
         for hc in instance.hard_constraints:
-            self._add(self._forbidding(hc.scope, ((t, None) for t in sorted(hc.forbidden))))
+            solver.add_clauses(self._forbidding(hc.scope, ((t, None) for t in sorted(hc.forbidden))))
 
         self.sel: list[dict[int, int]] = []  # per component: level -> its selector
         for i, f in enumerate(instance.cost_functions):
             sels = list(range(2 * first, 2 * (first + len(f.levels)), 2))
             first += len(f.levels)
-            self._add([a ^ 1, b] for a, b in zip(sels, sels[1:]))
+            solver.add_clauses([a ^ 1, b] for a, b in zip(sels, sels[1:]))
             self.sel.append(dict(zip(f.levels, sels)))
             if not n_unlisted[i] and len(f.explicit) >= ROW_MIN_TUPLES:
-                self._add(self._forbidding_rows(f, sels))
+                solver.add_clauses(self._forbidding_rows(f, sels))
                 continue
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
@@ -132,14 +127,14 @@ class InducedCspEncoding:
                 explicit = zip(table, table.costs)  # product order is sorted order
             else:
                 explicit = sorted(table.items())
-            self._add(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
+            solver.add_clauses(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
             # a full table has no unlisted tuple to enumerate; the others are
             # streamed, never held as a list
             if f.default_cost > base and n_unlisted[i]:
                 ranges = [range(instance.domains[x]) for x in f.scope]
                 sel = sels[space.index(i, f.default_cost) - 1]
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
-                self._add(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
+                solver.add_clauses(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
         # for decoding: each variable's first value variable, and each
         # function's scope key and table lookup: a dict's with its default, a
         # FullTable's cost list with its strides (a tuple)
@@ -150,23 +145,6 @@ class InducedCspEncoding:
             else (_scope_key(f.scope), f.explicit.get, f.default_cost)
             for f in instance.cost_functions
         ]
-
-    def _add(self, clauses) -> None:
-        """Add clauses whose literals are sorted, on distinct variables:
-        directly while the solver is consistent, its root trail is empty and
-        the clause has two literals or more, else through ``add_clause``.
-        Polls the deadline while the stored count is a multiple of 4096."""
-        solver = self.solver
-        stored, watches, deadline = solver.clauses, solver.watches, solver.deadline
-        for lits in clauses:
-            if not len(stored) & 4095 and deadline is not None and time.perf_counter() > deadline:
-                raise SolveDeadlineExceeded
-            if solver.trail or not solver.ok or len(lits) < 2:
-                solver.add_clause(lits)
-                continue
-            stored.append(lits)
-            watches[lits[0] ^ 1].append(lits)
-            watches[lits[1] ^ 1].append(lits)
 
     def _forbidding_rows(self, f, sels: list[int]):
         """Yield the clauses ``_forbidding`` yields for the costed tuples of

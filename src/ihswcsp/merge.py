@@ -80,7 +80,6 @@ class MergedProblem:
     whose cost functions are the merged clusters, sharing the instance's
     variables and hard constraints."""
 
-    clusters: tuple[tuple[int, ...], ...]
     view: WcspInstance
     merged_clusters: int
     split_clusters: int
@@ -168,4 +167,4 @@ def build_merged(w: WcspInstance) -> MergedProblem:
         top,
         w.constant_offset,
     )
-    return MergedProblem(tuple(final_groups), view, merged_count, split_count)
+    return MergedProblem(view, merged_count, split_count)

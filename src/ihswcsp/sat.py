@@ -28,9 +28,9 @@ its first literal is true.
 
 A problem clause is a plain ``list`` of literals, so ``c[k]`` takes
 CPython's exact-list subscript path; only a learnt clause is a ``Learnt``,
-the list subclass that carries its activity.  ``add_clause`` stores its own
-sorted copy; a caller that stores a clause directly must hand over a list it
-does not keep.  ``_ensure_var`` creates any number of variables in one step.
+the list subclass that carries its activity.  ``_ensure_var`` creates any
+number of variables in one step, and ``add_clauses`` is the one path that
+loads clauses (MiniSat's ``addClause``); ``add_clause`` normalises into it.
 
 Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 ``2*v + 1`` (negative); ``lit ^ 1`` negates.
@@ -47,14 +47,6 @@ class SolveDeadlineExceeded(RuntimeError):
     """Cooperative timeout: raised by a SAT solve, before an oracle call that
     would start past the deadline, and by the hitting-vector branch and
     bound, each of which polls it."""
-
-
-def pos(v: int) -> int:
-    return v << 1
-
-
-def neg(v: int) -> int:
-    return (v << 1) | 1
 
 
 class Learnt(list):
@@ -79,10 +71,11 @@ class Solver:
     calls and never affects correctness.
 
     Between calls, trail level ``L`` (1-based) holds the assumption
-    ``assumed[L-1]`` of the last call; ``add_clause`` cancels every level
+    ``assumed[L-1]`` of the last call; adding clauses cancels every level
     above 0.  ``deadline``, a ``time.perf_counter()`` reading or None, is
     polled every 64 conflicts: past it, a solve cancels to level 0, which
-    leaves the solver usable, and raises ``SolveDeadlineExceeded``."""
+    leaves the solver usable, and raises ``SolveDeadlineExceeded``.
+    ``add_clauses`` polls it too, and raises the same past it."""
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -133,37 +126,54 @@ class Solver:
         self.heap += [(-0.0, u) for u in range(first, v + 1)]
 
     def add_clause(self, lits) -> None:
-        """Add a permanent clause.  Tautologies are dropped, duplicate and
-        root-level-false literals removed; an effectively empty clause makes
-        the solver permanently UNSAT.  The clause is stored with its literals
-        sorted and watches its first two; root-level values are read only
-        when the root trail holds any."""
+        """Add a permanent clause of any literals: duplicates are removed, a
+        tautology is dropped, and the sorted rest goes to ``add_clauses``."""
         out = sorted(set(lits))
         if out and out[-1] >> 1 >= self.num_vars:
             self._ensure_var(out[-1] >> 1)
         if not self.ok:
             return
-        if self.trail_lim:
-            self.cancel_until(0)
+        self.cancel_until(0)
         for a, b in zip(out, out[1:]):
             if b == a ^ 1:
                 return  # tautology
-        if self.trail:
-            vals = [self.val[l] for l in out]
-            if 1 in vals:
-                return  # satisfied at root level
-            out = [l for l, val in zip(out, vals) if val == 2]  # drop false literals
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            self._enqueue(out[0], None)
-            if self.propagate() is not None:
-                self.ok = False
-            return
-        self.clauses.append(out)
-        self.watches[out[0] ^ 1].append(out)
-        self.watches[out[1] ^ 1].append(out)
+        self.add_clauses((out,))
+
+    def add_clauses(self, clauses) -> None:
+        """Add permanent clauses, each a list of sorted literals on distinct,
+        existing variables, which the solver may keep (propagation reorders
+        a stored clause in place).  Every level above 0 is cancelled first.
+        While the solver is consistent and its root trail is empty, a clause
+        of two or more literals is stored as given and watches its first
+        two.  Otherwise root-false literals are dropped, a root-true clause
+        is skipped, a unit is enqueued and propagated, and an empty clause
+        makes the solver permanently UNSAT, which ignores later clauses.
+        Polls ``deadline`` whenever the stored count is a multiple of 4096."""
+        self.cancel_until(0)
+        stored, watches, trail, val = self.clauses, self.watches, self.trail, self.val
+        deadline = self.deadline
+        for lits in clauses:
+            if not len(stored) & 4095 and deadline is not None and time.perf_counter() > deadline:
+                raise SolveDeadlineExceeded
+            if trail or len(lits) < 2 or not self.ok:
+                if not self.ok:
+                    continue
+                if trail:
+                    vals = [val[l] for l in lits]
+                    if 1 in vals:
+                        continue  # satisfied at root level
+                    lits = [l for l, v in zip(lits, vals) if v == 2]  # drop false literals
+                if not lits:
+                    self.ok = False
+                    continue
+                if len(lits) == 1:
+                    self._enqueue(lits[0], None)
+                    if self.propagate() is not None:
+                        self.ok = False
+                    continue
+            stored.append(lits)
+            watches[lits[0] ^ 1].append(lits)
+            watches[lits[1] ^ 1].append(lits)
 
     # -- assignment trail ------------------------------------------------------
 

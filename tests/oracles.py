@@ -7,6 +7,7 @@ from the implementation paths it checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -34,6 +35,16 @@ def hits(h: CostVector, cores) -> bool:
     return all(not dominates(k, h) for k in cores)
 
 
+def pos(v: int) -> int:
+    """The positive SAT literal of variable ``v``."""
+    return v << 1
+
+
+def neg(v: int) -> int:
+    """The negative SAT literal of variable ``v``."""
+    return (v << 1) | 1
+
+
 def truth_table(num_vars: int, clauses):
     """Boolean mask over all ``2**num_vars`` assignments (bit ``v`` of the
     row index is variable ``v``) marking those that satisfy every clause."""
@@ -59,8 +70,6 @@ def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
 
 
 def random_cnf(rng: random.Random, max_vars: int = 14, max_width: int = 3):
-    from ihswcsp.sat import neg, pos
-
     n = rng.randint(2, max_vars)
     m = rng.randint(1, int(4.5 * n))
     clauses = []
@@ -165,7 +174,7 @@ def reference_encoding_solver(instance: WcspInstance):
     """The induced-CSP encoding's clauses, every one passed through the
     general ``Solver.add_clause`` and every unlisted tuple of a partial table
     collected into a list first; returns the loaded solver."""
-    from ihswcsp.sat import Solver, pos
+    from ihswcsp.sat import Solver
 
     space = LevelSpace.from_instance(instance)
     solver = Solver()
@@ -283,3 +292,23 @@ def group_by_cluster_slow(w: WcspInstance, clusters) -> dict[int, list[int]]:
         ]
         groups.setdefault(min(candidates)[1], []).append(i)
     return groups
+
+
+def merged_groups_slow(w: WcspInstance) -> list[tuple[int, ...]]:
+    """Reference grouping behind ``build_merged``'s view, one group of
+    function indices per view function in view order: each min-fill
+    cluster's functions (one empty cluster when there is no variable), split
+    into singletons when their union scope has more than ``MERGE_CAP``
+    assignments."""
+    from ihswcsp.merge import MERGE_CAP
+
+    edges = {pair for f in w.cost_functions for pair in itertools.combinations(sorted(f.scope), 2)}
+    _, clusters = min_fill_order_slow(w.num_vars, edges)
+    groups: list[tuple[int, ...]] = []
+    for group in group_by_cluster_slow(w, clusters or [()]).values():
+        scope = {x for i in group for x in w.cost_functions[i].scope}
+        if len(group) > 1 and math.prod(w.domains[x] for x in scope) > MERGE_CAP:
+            groups.extend((i,) for i in group)
+        else:
+            groups.append(tuple(group))
+    return sorted(groups)

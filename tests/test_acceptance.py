@@ -17,11 +17,13 @@ from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
 from ihswcsp.merge import build_merged
 from ihswcsp.model import cost, evaluate
-from ihswcsp.sat import Solver, neg, pos
+from ihswcsp.sat import Solver
 from ihswcsp.wcsp_io import brute_force_optimum, parse_wcsp, write_wcsp
 from oracles import (
     enumerate_hitting,
     hits,
+    neg,
+    pos,
     random_cnf,
     random_cores,
     random_level_space,

@@ -95,6 +95,17 @@ def test_generate_negative_count_exits_one_before_creating_out(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_generate_refused_params_exit_one_before_creating_out(tmp_path, capsys):
+    cases = [("0,2,2,1,2", "all generator parameters must be positive"),
+             ("4,2,9,1,2", "m exceeds the number of distinct binary scopes")]
+    for params, message in cases:
+        out = tmp_path / "never"
+        assert main(["generate", "--class", "uniform", "--params", params,
+                     "--count", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_parse_matrix_full_and_restricted():
     assert len(parse_matrix(None)) == 32
     got = parse_matrix("hv=lb,ub;core=maximal;merge=on", time_limit=5.0)

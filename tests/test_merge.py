@@ -16,6 +16,7 @@ from ihswcsp.wcsp_io import (
 from oracles import (
     group_by_cluster_slow,
     merge_group_slow,
+    merged_groups_slow,
     min_fill_order_slow,
     random_tiny_instance,
 )
@@ -92,7 +93,7 @@ def test_merge_two_functions_on_same_scope():
     f2 = make_cost_function((0, 1), 0, {(0, 1): 3, (1, 1): 1}, (2, 2))
     w = WcspInstance("pair", (2, 2), (), (f1, f2), 20)
     merged = build_merged(w)
-    assert merged.clusters == ((0, 1),)
+    assert merged.view.cost_functions == (merge_group_slow(w, (0, 1)),)
     assert len(merged.view.cost_functions) == 1
     f = merged.view.cost_functions[0]
     # achievable sums over the four assignments: 1, 3, 0, 3
@@ -105,7 +106,7 @@ def test_disjoint_scopes_stay_singletons():
     f2 = make_cost_function((1,), 0, {(1,): 2}, (2, 2))
     w = WcspInstance("disjoint", (2, 2), (), (f1, f2), 10)
     merged = build_merged(w)
-    assert merged.clusters == ((0,), (1,))
+    assert merged.merged_clusters == 0
     assert merged.view.cost_functions == w.cost_functions
 
 
@@ -140,8 +141,10 @@ def test_full_table_reads_as_the_dict_it_replaces():
     for _ in range(150):
         w = random_tiny_instance(rng, max_vars=5, max_funcs=5)
         merged = build_merged(w)
+        groups = merged_groups_slow(w)
+        assert len(groups) == len(merged.view.cost_functions)
         as_dicts = []
-        for group, f in zip(merged.clusters, merged.view.cost_functions):
+        for group, f in zip(groups, merged.view.cost_functions):
             if len(group) == 1:
                 as_dicts.append(f)
                 continue
@@ -182,9 +185,12 @@ def test_merging_and_validating_a_view_read_no_table_tuple(monkeypatch):
 
     monkeypatch.setattr(FullTable, "__iter__", refuse)
     monkeypatch.setattr(FullTable, "__getitem__", refuse)
-    merged = build_merged(gen_uniform(GeneratorParams(60, 8, 120, 8, 24, seed=2)))
+    w = gen_uniform(GeneratorParams(60, 8, 120, 8, 24, seed=2))
+    merged = build_merged(w)
     assert merged.merged_clusters > 10
-    for group, f in zip(merged.clusters, merged.view.cost_functions):
+    groups = merged_groups_slow(w)
+    assert len(groups) == len(merged.view.cost_functions)
+    for group, f in zip(groups, merged.view.cost_functions):
         assert type(f.explicit) is (FullTable if len(group) > 1 else dict)
 
 

@@ -6,8 +6,8 @@ from heapq import heappush
 
 import pytest
 
-from ihswcsp.sat import Learnt, SatResult, SolveDeadlineExceeded, Solver, neg, pos
-from oracles import random_cnf, truth_table, truth_table_sat
+from ihswcsp.sat import Learnt, SatResult, SolveDeadlineExceeded, Solver
+from oracles import neg, pos, random_cnf, truth_table, truth_table_sat
 
 
 def test_new_var_monotone():
@@ -383,3 +383,61 @@ def test_reduce_db_drops_a_stale_reason_and_keeps_a_locked_clause():
     assert s.learnts == [*active, locked] and s.learnts[-1] is locked
     watched = [c for ws in s.watches for c in ws]
     assert sum(c is locked for c in watched) == 2 and all(c is not stale for c in watched)
+
+
+def _state(s):
+    # ok, the stored clauses, each watch list as clause indices, and the trail
+    index = {id(c): k for k, c in enumerate(s.clauses)}
+    return s.ok, s.clauses, [[index[id(c)] for c in ws] for ws in s.watches], s.trail
+
+
+def test_add_clauses_in_one_call_matches_add_clause_one_at_a_time():
+    # a clean stream: a unit at clause 10 and another at 20 put values on the
+    # root trail, so later clauses are shortened or skipped; clause 30 is
+    # false under both units, which makes the solver UNSAT, and the clauses
+    # after it must be ignored
+    n = 12
+    for seed in range(20):
+        rng = random.Random(seed)
+        stream = []
+        for k in range(45):
+            if k in (10, 20, 30):
+                stream.append({10: [pos(0)], 20: [neg(1)], 30: [neg(0), pos(1)]}[k])
+                continue
+            vs = sorted(rng.sample(range(n), rng.randint(2, 4)))
+            stream.append([2 * v + rng.randrange(2) for v in vs])
+        for cut in (30, len(stream)):
+            single, batch = Solver(), Solver()
+            for s in (single, batch):
+                for _ in range(n):
+                    s.new_var()
+            for c in stream[:cut]:
+                single.add_clause(c)
+            batch.add_clauses([list(c) for c in stream[:cut]])
+            assert _state(batch) == _state(single)
+            # the units shorten or satisfy some later clauses; the solver
+            # stays consistent until clause 30 and is UNSAT after it
+            assert single.ok == (cut == 30)
+            assert len(single.trail) >= 2 and len(single.clauses) < cut - 2
+            if cut == 30:
+                assert any(c not in stream for c in single.clauses)
+
+
+def test_add_clauses_past_the_deadline_stores_nothing():
+    rng = random.Random(7)
+    for _ in range(10):
+        n, clauses = random_cnf(rng, max_vars=12)
+        clauses = [sorted(c) for c in clauses]
+        s = Solver()
+        for _ in range(n):
+            s.new_var()
+        s.deadline = time.perf_counter() - 1.0
+        with pytest.raises(SolveDeadlineExceeded):
+            s.add_clauses([list(c) for c in clauses])
+        assert s.ok and s.clauses == [] and s.trail == [] and not any(s.watches)
+        s.deadline = None
+        s.add_clauses([list(c) for c in clauses])
+        res = s.solve()
+        assert res.sat == truth_table_sat(n, clauses)
+        if res.sat:
+            assert all(any(res.model[l >> 1] == (not l & 1) for l in c) for c in clauses)
