@@ -2,7 +2,9 @@
 """Randomized soak test: generate instances, solve them with every
 configuration (hitting-vector strategy, core strategy, merging and the
 disjoint phase, 64 in all), and compare each optimum against exhaustive
-enumeration.
+enumeration.  Every third trial, the first included, is a random tiny WCSP
+text with tuples at ``top`` and nonzero defaults, so that the parser's split
+into hard constraints and cost functions is solved too.
 
 Usage:
     python3 scripts/verify_against_bruteforce.py [--trials N] [--seed S]
@@ -18,7 +20,32 @@ import sys
 
 from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
 from ihswcsp.improve import STRATEGIES
-from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform, write_wcsp
+from ihswcsp.wcsp_io import (
+    GeneratorParams,
+    brute_force_optimum,
+    gen_scale_free,
+    gen_uniform,
+    parse_wcsp,
+    write_wcsp,
+)
+
+
+def random_text(rng: random.Random, top: int = 20) -> str:
+    """A tiny WCSP text: unary and binary functions with a nonzero default
+    (sometimes ``top``) and some tuples costing ``top``; half of them list
+    every tuple."""
+    n = rng.randint(2, 5)
+    domains = [rng.randint(1, 3) for _ in range(n)]
+    nfunctions = rng.randint(1, 4)
+    lines = [f"soak {n} {max(domains)} {nfunctions} {top}", " ".join(map(str, domains))]
+    for _ in range(nfunctions):
+        scope = rng.sample(range(n), rng.randint(1, 2))
+        cells = list(itertools.product(*(range(domains[x]) for x in scope)))
+        if rng.random() < 0.5:
+            cells = rng.sample(cells, rng.randint(0, len(cells)))
+        lines.append(" ".join(map(str, (len(scope), *scope, rng.choice((1, 3, 5, top)), len(cells)))))
+        lines += [" ".join(map(str, (*t, rng.choice((0, 1, 2, 4, top))))) for t in cells]
+    return "\n".join(lines) + "\n"
 
 
 def run(argv=None) -> int:
@@ -29,7 +56,10 @@ def run(argv=None) -> int:
 
     rng = random.Random(args.seed)
     for trial in range(args.trials):
-        if rng.random() < 0.3:
+        if trial % 3 == 0:
+            text = random_text(rng)
+            inst = parse_wcsp(text)
+        elif rng.random() < 0.3:
             n = rng.randint(5, 8)
             p = GeneratorParams(n, 2, rng.randint(1, 3), rng.randint(1, 3),
                                 rng.randint(1, 4), seed=rng.randrange(1 << 30))
@@ -50,7 +80,7 @@ def run(argv=None) -> int:
             if report.optimum != expected:
                 print(f"MISMATCH trial={trial} hv={hv} core={core} merge={merge} "
                       f"disjoint={disjoint}: got {report.optimum}, expected {expected}")
-                print(write_wcsp(inst))
+                print(text if trial % 3 == 0 else write_wcsp(inst))
                 return 1
             configs += 1
         print(f"trial {trial}: optimum {expected} confirmed by all {configs} configurations")

@@ -15,17 +15,12 @@ when its scope ascends (merged scopes always do); other scopes are sorted
 here.  The solver may keep a clause list it is given, so a list the encoder
 keeps (``value_lit``) is handed over as a copy.
 
-Merged tables hold most of the clauses on large instances.  Each is a
-``FullTable``: a read-only mapping of every tuple, held as its costs in
-product order.  Such a table, or a parsed table that lists every tuple, of at
-least ``ROW_MIN_TUPLES`` tuples has its forbid clauses built as the rows of
-an object array, with one numpy gather per clause position, in place of a
-Python loop per tuple; 4096 tuples at a time, with a deadline poll between
-batches.  The rows come in product order, the order the loop takes, and hold
-the same int objects; a ``FullTable``'s levels are read straight off its cost
-list, a dict's by one lookup per tuple.  Below that size the per-tuple loop is
-faster, so smaller and partial tables keep it.  The decoding reads a
-``FullTable``'s cost by flat index.
+A table that lists every tuple (every merged table, a ``FullTable``, and
+any parsed table that lists them all) has its forbid clauses built in one
+pass in product order, the order of its sorted tuples: each tuple's negated
+value literals zipped with its cost, read off a ``FullTable``'s cost list or
+looked up in a dict.  A partial table lists its costed tuples sorted, then
+its unlisted ones.  The decoding reads a ``FullTable``'s cost by flat index.
 """
 
 from __future__ import annotations
@@ -36,17 +31,9 @@ from dataclasses import dataclass
 from math import prod
 from operator import itemgetter, mul
 
-import numpy as np
-
 from .model import Assignment, CostVector, FullTable, LevelSpace, WcspInstance
 from .sat import SolveDeadlineExceeded, Solver
 from .wcsp_io import ENUMERATION_CAP
-
-# A full table of at least this many tuples has its forbid clauses built as
-# array rows (``_forbidding_rows``), a smaller one by the per-tuple generator.
-# Timed per table on a 2-core host, the rows took 2.6x the generator's time at
-# 8-15 tuples, about 1.0x at 32, 0.6-0.75x at 64-127 and 0.4x from 512 up.
-ROW_MIN_TUPLES = 64
 
 
 def _scope_key(scope):
@@ -117,20 +104,15 @@ class InducedCspEncoding:
             first += len(f.levels)
             solver.add_clauses([a ^ 1, b] for a, b in zip(sels, sels[1:]))
             self.sel.append(dict(zip(f.levels, sels)))
-            if not n_unlisted[i] and len(f.explicit) >= ROW_MIN_TUPLES:
-                solver.add_clauses(self._forbidding_rows(f, sels))
+            if not n_unlisted[i]:
+                solver.add_clauses(self._forbidding_full(f, sels))
                 continue
             base = space.baseline[i]
             below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
-            table = f.explicit
-            if isinstance(table, FullTable):
-                explicit = zip(table, table.costs)  # product order is sorted order
-            else:
-                explicit = sorted(table.items())
+            explicit = sorted(f.explicit.items())
             solver.add_clauses(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
-            # a full table has no unlisted tuple to enumerate; the others are
-            # streamed, never held as a list
-            if f.default_cost > base and n_unlisted[i]:
+            # the unlisted tuples are streamed, never held as a list
+            if f.default_cost > base:
                 ranges = [range(instance.domains[x]) for x in f.scope]
                 sel = sels[space.index(i, f.default_cost) - 1]
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
@@ -146,40 +128,31 @@ class InducedCspEncoding:
             for f in instance.cost_functions
         ]
 
-    def _forbidding_rows(self, f, sels: list[int]):
-        """Yield the clauses ``_forbidding`` yields for the costed tuples of
-        the full table ``f``, built 4096 tuples of the product order at a
-        time as the rows of an object array: each tuple takes its literal in
-        each scope column, and the negated selector below its cost, by one
-        gather per column over the negated literals, so every clause holds
-        the same int objects.  Value literals order as their variables, so a
-        scope that does not ascend is sorted by ordering the columns."""
-        level_of = {c: j for j, c in enumerate(f.levels)}
-        dims = [len(self.value_lit[x]) for x in f.scope]
-        negs = [
-            (p, np.array([lit ^ 1 for lit in self.value_lit[f.scope[p]]], object))
-            for p in sorted(range(len(f.scope)), key=f.scope.__getitem__)
-        ]
-        sel_negs = np.array([lit ^ 1 for lit in sels], object)
-        if isinstance(f.explicit, FullTable):
-            costs = f.explicit.costs
+    def _forbidding_full(self, f, sels: list[int]):
+        """The sorted clauses, in product order, that forbid each tuple of
+        ``f`` above its lowest level while the selector of the level below
+        the tuple's cost holds.  ``f`` lists every tuple, so its costs zip
+        with the product of the scope's negated value literals; a clause is
+        sorted as built when the scope ascends."""
+        below = dict(zip(f.levels[1:], [lit ^ 1 for lit in sels]))
+        base = f.levels[0]
+        negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in f.scope]
+        table = f.explicit
+        if isinstance(table, FullTable):
+            costs = table.costs
         else:
-            costs = map(f.explicit.__getitem__, itertools.product(*map(range, dims)))
-        levels = map(level_of.__getitem__, costs)
-        for start in range(0, len(f.explicit), 4096):
-            level = np.fromiter(itertools.islice(levels, 4096), np.intp)
-            costed = np.flatnonzero(level)  # the tuples above the baseline level
-            values = np.unravel_index(costed + start, dims)
-            columns = [neg[values[p]] for p, neg in negs]
-            columns.append(sel_negs[level[costed] - 1])
-            yield from np.stack(columns, axis=1).tolist()
+            costs = map(table.__getitem__, itertools.product(*(range(len(n)) for n in negs)))
+        clauses = ([*lits, below[c]] for lits, c in zip(itertools.product(*negs), costs) if c > base)
+        if list(f.scope) == sorted(f.scope):
+            return clauses
+        return map(sorted, clauses)
 
     def _forbidding(self, scope, pairs):
         """Yield, for each ``(t, sel)`` of ``pairs``, the sorted clause that
         forbids tuple ``t`` over ``scope`` while the selector ``sel`` holds
         (always, if ``sel`` is None).  Selector variables are created after
         every value variable, so ``sel ^ 1`` sorts last, and an ascending
-        scope (every merged scope is one) needs no sort."""
+        scope needs no sort."""
         negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in scope]
         ascending = list(scope) == sorted(scope)
         for t, sel in pairs:

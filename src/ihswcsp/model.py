@@ -92,8 +92,9 @@ def make_cost_function(
     Levels are the distinct costs the function can take over non-blocked
     tuples, plus 0 when the default cost is 0 (even if the explicit table
     covers the whole cross product).  ``default_cost=None`` means unlisted
-    tuples are all blocked (hard-forbidden upstream).  Returns None when no
-    cost level remains (pure hard constraint).
+    tuples are all blocked (hard-forbidden upstream).  A default that is
+    not among those costs (None included) becomes the lowest level.  Returns
+    None when no cost level remains (pure hard constraint).
     """
     table_size = prod(domains[x] for x in scope)
     costs = set(explicit.values())
@@ -104,7 +105,7 @@ def make_cost_function(
     if not costs:
         return None
     levels = tuple(sorted(costs))
-    if default_cost is None:
+    if default_cost not in costs:
         default_cost = levels[0]
     return CostFunction(scope, default_cost, dict(explicit), levels)
 

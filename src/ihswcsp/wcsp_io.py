@@ -177,7 +177,7 @@ def write_wcsp(w: WcspInstance) -> str:
     nfunctions = len(w.cost_functions) + len(w.hard_constraints)
     if w.constant_offset:
         nfunctions += 1
-    name = w.name.replace(" ", "-") or "wcsp"
+    name = "-".join(w.name.split()) or "wcsp"
     max_dom = max(w.domains, default=1)
     lines = [f"{name} {w.num_vars} {max_dom} {nfunctions} {w.top}"]
     if w.domains:

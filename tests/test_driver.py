@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -444,6 +445,18 @@ def test_zero_variable_instance_solves_with_and_without_merging():
     for merge in (False, True):
         report = solve(w, SolverConfig(merge=merge))
         assert report.status == "optimal" and report.optimum == 5
+
+
+def test_default_whose_unlisted_tuples_are_all_at_top_solves_in_every_configuration():
+    # the one unlisted tuple (3,) is at top, so the default 5 is no cost the
+    # function takes and must not reach the encoding as a level
+    from ihswcsp.wcsp_io import parse_wcsp
+
+    w = parse_wcsp("blk 1 4 1 10\n4\n1 0 5 4\n0 1\n1 2\n2 1\n3 10\n")
+    assert brute_force_optimum(w) == 1
+    for hv, core, merge, disjoint in itertools.product(ALL_HV, ALL_CORE, (False, True), (False, True)):
+        report = solve(w, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
+        assert report.optimum == 1, (hv, core, merge, disjoint)
 
 
 def test_constant_offset_flows_through_solve():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihswcsp.encoding import ROW_MIN_TUPLES, InducedCspEncoding, Satisfiable, Unsatisfiable
+from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.model import (
     CostFunction,
+    FullTable,
     HardConstraint,
     WcspInstance,
     evaluate,
@@ -215,16 +216,18 @@ def test_clauses_watches_and_trail_match_add_clause_encoder(monkeypatch):
     rng = random.Random(45)
     seen = {"unit_domain": 0, "unary_hard": 0, "binary_hard": 0, "unsorted_scope": 0,
             "unlisted": 0, "merged": 0, "rows": 0, "rows_unsorted_scope": 0,
-            "rows_after_root": 0, "below_split": 0}
-    rows = InducedCspEncoding._forbidding_rows
+            "rows_after_root": 0, "full_table_unsorted_scope": 0}
+    rows = InducedCspEncoding._forbidding_full
 
     def counted(self, f, sels):
         seen["rows"] += 1
         seen["rows_unsorted_scope"] += list(f.scope) != sorted(f.scope)
         seen["rows_after_root"] += bool(self.solver.trail)
+        seen["full_table_unsorted_scope"] += (isinstance(f.explicit, FullTable)
+                                              and list(f.scope) != sorted(f.scope))
         return rows(self, f, sels)
 
-    monkeypatch.setattr(InducedCspEncoding, "_forbidding_rows", counted)
+    monkeypatch.setattr(InducedCspEncoding, "_forbidding_full", counted)
     instances = []
     for k in range(150):
         w = random_tiny_instance(rng, max_vars=5, max_funcs=4)
@@ -232,15 +235,19 @@ def test_clauses_watches_and_trail_match_add_clause_encoder(monkeypatch):
         if k % 3 == 0:
             instances.append(build_merged(w).view)
             seen["merged"] += 1
-    # full tables one tuple below, at and above the size split, and one of
-    # more than 4096 tuples (two row batches), over scopes that do not ascend
+    # parsed full tables of 63, 64 and 65 tuples, and one of more than 4096
+    # tuples, over scopes that do not ascend
     for domains, scope in [((9, 7), (1, 0)), ((8, 8), (1, 0)), ((13, 5), (1, 0)),
                            ((4, 4, 4), (2, 0, 1)), ((3, 3, 7), (0, 2, 1)),
                            ((9, 8, 9, 8), (3, 1, 0, 2))]:
         for root_value in (False, True):
-            w = _parsed_full_table(rng, domains, scope, root_value)
-            seen["below_split"] += len(w.cost_functions[0].explicit) < ROW_MIN_TUPLES
-            instances.append(w)
+            instances.append(_parsed_full_table(rng, domains, scope, root_value))
+    # a library-built FullTable over a scope that does not ascend, alone and
+    # behind a unary hard constraint that falsifies a value at the root
+    costs = [rng.choice((0, 0, 3, 7, 20)) for _ in range(5 * 3 * 4)]
+    f = CostFunction((2, 0, 1), 50, FullTable((5, 3, 4), costs), tuple(sorted(set(costs))))
+    for hard in ((), (HardConstraint((2,), frozenset({(0,)})),)):
+        instances.append(WcspInstance("full", (3, 4, 5), hard, (f,), 100))
     # the ingest workload's merged views: full tables of up to 4096 tuples,
     # tens of thousands of clauses each
     ingest = [(gen_uniform, (120, 6, 240, 6, 12), 1), (gen_scale_free, (150, 5, 2, 6, 10), 2),

@@ -85,6 +85,10 @@ def test_zero_variable_instance_roundtrips():
     w = WcspInstance("z", (), (), (), 10, 3)
     assert write_wcsp(w) == "z 0 1 1 10\n0 3 0\n"
     assert parse_wcsp(write_wcsp(w)) == w
+    # whitespace in a name would split the header
+    tabbed = WcspInstance("my\tinst  x", (), (), (), 10, 3)
+    assert write_wcsp(tabbed) == "my-inst-x 0 1 1 10\n0 3 0\n"
+    assert parse_wcsp(write_wcsp(tabbed)) == WcspInstance("my-inst-x", (), (), (), 10, 3)
 
 
 def test_write_parse_identity_on_smallest():
