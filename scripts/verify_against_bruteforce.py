@@ -9,14 +9,17 @@ into hard constraints and cost functions is solved too.
 Usage:
     python3 scripts/verify_against_bruteforce.py [--trials N] [--seed S]
 
-Exits nonzero on the first disagreement, printing the offending instance in
-wcsp format so it can be replayed with the CLI.
+Exits nonzero on the first disagreement, or the first exception raised by
+the solver or the enumeration, printing the trial, the configuration (and
+the exception's type and message) and the offending instance in wcsp format
+so it can be replayed with the CLI.
 """
 
 import argparse
 import itertools
 import random
 import sys
+import traceback
 
 from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
 from ihswcsp.improve import STRATEGIES
@@ -48,6 +51,13 @@ def random_text(rng: random.Random, top: int = 20) -> str:
     return "\n".join(lines) + "\n"
 
 
+def failed(line: str, instance_text: str) -> int:
+    """Print what failed and the instance to replay it with; the exit code."""
+    print(line)
+    print(instance_text)
+    return 1
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=50)
@@ -71,18 +81,23 @@ def run(argv=None) -> int:
                                 rng.randint(1, 3), rng.randint(1, min(6, d * d)),
                                 seed=rng.randrange(1 << 30))
             inst = gen_uniform(p)
-        expected = brute_force_optimum(inst)
+        replay = text if trial % 3 == 0 else write_wcsp(inst)
+        config = "brute force"
         configs = 0
-        for hv, core, merge, disjoint in itertools.product(
-            HV_STRATEGIES, STRATEGIES, (False, True), (False, True)
-        ):
-            report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
-            if report.optimum != expected:
-                print(f"MISMATCH trial={trial} hv={hv} core={core} merge={merge} "
-                      f"disjoint={disjoint}: got {report.optimum}, expected {expected}")
-                print(text if trial % 3 == 0 else write_wcsp(inst))
-                return 1
-            configs += 1
+        try:
+            expected = brute_force_optimum(inst)
+            for hv, core, merge, disjoint in itertools.product(
+                HV_STRATEGIES, STRATEGIES, (False, True), (False, True)
+            ):
+                config = f"hv={hv} core={core} merge={merge} disjoint={disjoint}"
+                report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
+                if report.optimum != expected:
+                    return failed(f"MISMATCH trial={trial} {config}: got {report.optimum}, "
+                                  f"expected {expected}", replay)
+                configs += 1
+        except Exception as e:
+            traceback.print_exc()
+            return failed(f"CRASH trial={trial} {config}: {type(e).__name__}: {e}", replay)
         print(f"trial {trial}: optimum {expected} confirmed by all {configs} configurations")
     return 0
 

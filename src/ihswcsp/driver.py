@@ -245,14 +245,19 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     """Solve a WCSP to optimality with the configured IHS variant.
 
     Deterministic for a fixed (instance, config); the reported optimum equals
-    the instance's true minimum cost, merging on or off."""
+    the instance's true minimum cost, merging on or off.  A run that times
+    out with no solution of its own reports the feasibility pre-check's."""
     cfg = cfg or SolverConfig()
     run = _Run(instance, cfg)
+    feasible = None
     try:
         run.encode()
-        if isinstance(run.enc.solve_induced(run.enc.space.maximum), Unsatisfiable):
+        feasible = run.enc.solve_induced(run.enc.space.maximum)
+        if isinstance(feasible, Unsatisfiable):
             return run.report("infeasible")
         run.loop()
     except SolveDeadlineExceeded:
+        if run.ub is None and feasible is not None:
+            run.record(feasible)
         return run.report("timeout")
     return run.report("optimal")

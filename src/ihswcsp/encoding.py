@@ -18,8 +18,8 @@ keeps (``value_lit``) is handed over as a copy.
 A table that lists every tuple (every merged table, a ``FullTable``, and
 any parsed table that lists them all) has its forbid clauses built in one
 pass in product order, the order of its sorted tuples: each tuple's negated
-value literals zipped with its cost, read off a ``FullTable``'s cost list or
-looked up in a dict.  A partial table lists its costed tuples sorted, then
+value literals zipped with its cost, read in product order by
+``CostFunction.dense``.  A partial table lists its costed tuples sorted, then
 its unlisted ones.  The decoding reads a ``FullTable``'s cost by flat index.
 """
 
@@ -65,6 +65,7 @@ class InducedCspEncoding:
 
     def __init__(self, instance: WcspInstance, deadline: float | None = None):
         self.space = space = LevelSpace.from_instance(instance)
+        self.domains = instance.domains
         # each unlisted tuple above the baseline costs one clause, so refuse a
         # table past the enumeration cap before building anything
         n_unlisted = [
@@ -137,11 +138,7 @@ class InducedCspEncoding:
         below = dict(zip(f.levels[1:], [lit ^ 1 for lit in sels]))
         base = f.levels[0]
         negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in f.scope]
-        table = f.explicit
-        if isinstance(table, FullTable):
-            costs = table.costs
-        else:
-            costs = map(table.__getitem__, itertools.product(*(range(len(n)) for n in negs)))
+        costs = f.dense(self.domains)
         clauses = ([*lits, below[c]] for lits, c in zip(itertools.product(*negs), costs) if c > base)
         if list(f.scope) == sorted(f.scope):
             return clauses

@@ -2,13 +2,13 @@
 
 Functions whose scopes land in the same decomposition cluster are merged into
 a single cost function over the union scope, shrinking the dimension of the
-cost-vector space while preserving the optimum.  The merged table is built by
-numpy broadcasting: each member becomes a dense array over its own scope,
-transposed into the union scope's axis order and summed in.  The sum is kept
-as a ``FullTable``, a dense, read-only mapping over its costs in product
-order, which the encoder reads as they are: no tuple-keyed dict is built for
-a merged table.  Clusters whose union table would exceed ``MERGE_CAP``
-assignments fall back to the original unmerged functions.
+cost-vector space while preserving the optimum.  The merged table is the
+members' costs summed over the union scope in product order by
+``model.product_sum``, in Python ints, so it is exact for any cost.  The sum
+is kept as a ``FullTable``, a dense, read-only mapping over its costs in
+product order, which the encoder reads as they are: no tuple-keyed dict is
+built for a merged table.  Clusters whose union table would exceed
+``MERGE_CAP`` assignments fall back to the original unmerged functions.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Iterable
 
-import numpy as np
-
-from .model import CostFunction, FullTable, WcspInstance
+from .model import CostFunction, FullTable, WcspInstance, product_sum
 
 MERGE_CAP = 4096  # the most assignments a merged function's table may hold
 
@@ -85,25 +83,12 @@ class MergedProblem:
     split_clusters: int
 
 
-def _merge_group(
-    w: WcspInstance, group: tuple[int, ...]
-) -> CostFunction:
+def _merge_group(w: WcspInstance, group: tuple[int, ...]) -> CostFunction:
     members = [w.cost_functions[i] for i in group]
     scope = tuple(sorted({x for f in members for x in f.scope}))
-    exact = sum(max(f.default_cost, f.levels[-1]) for f in members) < 2**63
-    dtype = np.int64 if exact else object  # Python ints where int64 could overflow
-    total = np.zeros([w.domains[x] for x in scope], dtype)
-    for f in members:
-        dense = np.full([w.domains[x] for x in f.scope], f.default_cost, dtype)
-        for t, c in f.explicit.items():
-            dense[t] = c
-        axes = sorted(range(len(f.scope)), key=f.scope.__getitem__)
-        total += dense.transpose(axes).reshape(
-            [w.domains[x] if x in f.scope else 1 for x in scope]
-        )
-    costs = total.ravel().tolist()
+    costs = product_sum(w.domains, scope, [(f.scope, f.dense(w.domains)) for f in members])
     levels = tuple(sorted(set(costs)))
-    return CostFunction(scope, levels[0], FullTable(total.shape, costs), levels)
+    return CostFunction(scope, levels[0], FullTable(tuple(w.domains[x] for x in scope), costs), levels)
 
 
 def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[int, list[int]]:

@@ -7,7 +7,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
 CostVector = tuple[int, ...]
@@ -60,6 +60,37 @@ class FullTable(Mapping):
         raise KeyError(key)
 
 
+def product_sum(
+    domains: tuple[int, ...], scope: tuple[int, ...], tables: Iterable[tuple[tuple[int, ...], list[int]]]
+) -> list[int]:
+    """The sum over ``scope``, one entry per tuple in product order, of the
+    ``(sub_scope, costs)`` tables, each listing its costs in product order
+    over its own ``sub_scope`` (a subset of ``scope`` in any order); all 0
+    without a table.  A table out of ``scope``'s order is first gathered
+    into it by flat index; then each ``scope`` variable it lacks, from the
+    last one back, repeats every block of entries over the variables after
+    it once per value, by list copies rather than entry by entry."""
+    position = {x: p for p, x in enumerate(scope)}
+    total = None
+    for sub, costs in tables:
+        ordered = sorted(sub, key=position.__getitem__)
+        if ordered != list(sub):
+            index = [0]
+            for x in ordered:
+                s = prod(domains[y] for y in sub[sub.index(x) + 1 :])
+                index = [i + o for i in index for o in range(0, s * domains[x], s)]
+            costs = list(map(costs.__getitem__, index))
+        size = 1  # entries per block: the tuples of the variables after x
+        for x in reversed(scope):
+            d = domains[x]
+            if x not in sub:
+                blocks = (costs[b : b + size] * d for b in range(0, len(costs), size))
+                costs = list(itertools.chain.from_iterable(blocks))
+            size *= d
+        total = list(costs) if total is None else list(map(add, total, costs))
+    return [0] * prod(domains[x] for x in scope) if total is None else total
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Table-defined cost function over an ordered variable scope.
@@ -78,6 +109,13 @@ class CostFunction:
 
     def value(self, assignment: Assignment) -> int:
         return self.explicit.get(tuple(assignment[x] for x in self.scope), self.default_cost)
+
+    def dense(self, domains: tuple[int, ...]) -> list[int]:
+        """The cost of every tuple of the scope, in product order."""
+        if isinstance(self.explicit, FullTable):
+            return self.explicit.costs
+        tuples = itertools.product(*(range(domains[x]) for x in self.scope))
+        return list(map(self.explicit.get, tuples, itertools.repeat(self.default_cost)))
 
 
 def make_cost_function(

@@ -19,14 +19,12 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
 from .model import (
     CostFunction,
     HardConstraint,
     WcspInstance,
-    evaluate,
     make_cost_function,
+    product_sum,
 )
 
 
@@ -266,49 +264,23 @@ def gen_scale_free(p: GeneratorParams) -> WcspInstance:
 
 
 def brute_force_optimum(w: WcspInstance) -> int | None:
-    """Exhaustive optimum over all assignments (vectorized enumeration).
+    """Exhaustive optimum over all assignments, exact for any int cost.
 
-    Returns the minimum total cost of a feasible assignment (including the
-    constant offset) or None when the instance is infeasible.  Raises
-    EnumerationCapExceeded when the assignment space exceeds ENUMERATION_CAP.
+    Sums every cost table, and each hard constraint as a table costing 1 on
+    its forbidden tuples, over all variables in product order by
+    ``product_sum``, in Python ints.  Returns the minimum total cost of a
+    feasible assignment (including the constant offset) or None when the
+    instance is infeasible.  Raises EnumerationCapExceeded when the
+    assignment space exceeds ENUMERATION_CAP.
     """
-    n = w.num_vars
-    total_assignments = prod(w.domains) if n else 1
+    total_assignments = prod(w.domains)
     if total_assignments > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"{total_assignments} assignments exceed the cap of {ENUMERATION_CAP}"
         )
-    if n == 0:
-        feasible, _, tot = evaluate(w, ())
-        return tot + w.constant_offset if feasible else None
-
-    grids = np.meshgrid(*(np.arange(d, dtype=np.int32) for d in w.domains), indexing="ij")
-    assign = np.stack([g.reshape(-1) for g in grids], axis=1)
-    total = np.zeros(total_assignments, dtype=np.int64)
-    feasible = np.ones(total_assignments, dtype=bool)
-
-    for f in w.cost_functions:
-        if not f.scope:
-            total += f.value(())
-            continue
-        dims = tuple(w.domains[x] for x in f.scope)
-        table = np.full(prod(dims), f.default_cost, dtype=np.int64)
-        for t, c in f.explicit.items():
-            table[np.ravel_multi_index(t, dims)] = c
-        idx = np.ravel_multi_index([assign[:, x] for x in f.scope], dims)
-        total += table[idx]
-    for hc in w.hard_constraints:
-        if not hc.scope:
-            if () in hc.forbidden:
-                return None
-            continue
-        dims = tuple(w.domains[x] for x in hc.scope)
-        bad = np.zeros(prod(dims), dtype=bool)
-        for t in hc.forbidden:
-            bad[np.ravel_multi_index(t, dims)] = True
-        idx = np.ravel_multi_index([assign[:, x] for x in hc.scope], dims)
-        feasible &= ~bad[idx]
-
-    if not feasible.any():
-        return None
-    return int(total[feasible].min()) + w.constant_offset
+    scope = tuple(range(w.num_vars))
+    costs = product_sum(w.domains, scope, ((f.scope, f.dense(w.domains)) for f in w.cost_functions))
+    bans = (CostFunction(hc.scope, 0, dict.fromkeys(hc.forbidden, 1), (0, 1)) for hc in w.hard_constraints)
+    banned = product_sum(w.domains, scope, ((f.scope, f.dense(w.domains)) for f in bans))
+    best = min((c for c, n in zip(costs, banned) if not n), default=None)
+    return None if best is None else best + w.constant_offset

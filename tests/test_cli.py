@@ -449,3 +449,30 @@ def test_render_table_golden_text():
     for (kind, mode), digest in GOLDEN_DIGESTS.items():
         text = render_table(rows, kind, timeout=60, timeout_mode=mode)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, mode, text)
+
+
+def test_soak_reports_a_crash_with_its_instance(monkeypatch, capsys):
+    # an exception inside one solve ends the brute-force soak with the trial,
+    # the configuration, the exception and an instance text that replays it
+    import importlib.util
+    from pathlib import Path
+
+    from ihswcsp.wcsp_io import parse_wcsp
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_against_bruteforce.py"
+    spec = importlib.util.spec_from_file_location("verify_against_bruteforce", path)
+    soak = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(soak)
+    real = soak.solve
+
+    def crash(instance, cfg):
+        if cfg.merge:
+            raise ValueError("boom")
+        return real(instance, cfg)
+
+    monkeypatch.setattr(soak, "solve", crash)
+    assert soak.run(["--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    line, text = out.split("\n", 1)
+    assert line == "CRASH trial=0 hv=lb core=lazy merge=True disjoint=False: ValueError: boom"
+    assert parse_wcsp(text).name == "soak"

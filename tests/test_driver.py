@@ -13,6 +13,7 @@ from ihswcsp.model import (
     HardConstraint,
     WcspInstance,
     cost,
+    evaluate,
     make_cost_function,
 )
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
@@ -275,6 +276,30 @@ def test_timeout_reported():
     report = solve(w, SolverConfig(hv="lb", core="maximal", time_limit=1e-9))
     assert report.status == "timeout"
     assert report.optimum is None
+
+
+def test_timeout_keeps_the_feasibility_solution(monkeypatch):
+    # a run whose first hitting call times out reports the solution of the
+    # feasibility pre-check, and its cost as ub, merging on or off
+    import dataclasses
+
+    import ihswcsp.driver as driver
+
+    def expire(problem):
+        raise SolveDeadlineExceeded
+
+    monkeypatch.setattr(driver, "min_cost_hv", expire)
+    w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=5))
+    w = dataclasses.replace(
+        w, hard_constraints=(HardConstraint((0, 1), frozenset({(0, 0), (1, 1)})),), constant_offset=7
+    )
+    for merge in (False, True):
+        report = solve(w, SolverConfig(hv="lb", core="lazy", merge=merge))
+        assert report.status == "timeout" and report.optimum is None
+        assert (report.sat_calls, report.iterations, report.bounds_trace) == (1, 1, [])
+        feasible, _, total = evaluate(w, report.best_assignment)
+        assert feasible
+        assert report.final_ub == total + 7
 
 
 def test_deadline_interrupts_hitting_search():

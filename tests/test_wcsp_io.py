@@ -1,11 +1,16 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihswcsp.driver import SolverConfig, solve
 from ihswcsp.model import WcspInstance, make_cost_function
 from ihswcsp.wcsp_io import (
     EnumerationCapExceeded,
@@ -20,6 +25,15 @@ from ihswcsp.wcsp_io import (
 from oracles import brute_force_optimum_slow, random_tiny_instance
 
 SMALLEST = "ex 1 1 1 10\n1\n1 0 0 1\n0 1\n"
+# two cost functions that merge into one over scopes in opposite orders, a
+# hard tuple and a constant 1
+TWO_OVER_ONE_SCOPE = (
+    "pair 3 2 4 100\n2 2 2\n"
+    "2 0 1 1 2\n0 0 5\n1 1 0\n"
+    "2 1 0 2 1\n1 0 3\n"
+    "2 0 1 0 1\n1 1 100\n"
+    "0 1 0\n"
+)
 
 
 def test_parse_smallest_file():
@@ -260,6 +274,35 @@ def test_brute_force_trivia():
     w = WcspInstance("one", (1,), (), (f,), 10)
     assert brute_force_optimum(w) == 1
     assert brute_force_optimum_slow(w) == 1
+    # costs whose sum, or which alone, is past int64 are summed exactly
+    big = 2**62 + 3
+    f = make_cost_function((0,), 0, {(0,): big, (1,): big + 1}, (2,))
+    g = make_cost_function((0,), 0, {(0,): big, (1,): big}, (2,))
+    h = make_cost_function((0,), 0, {(0,): 2**63}, (1,))
+    for w, optimum in (
+        (WcspInstance("int64", (2,), (), (f, g), 2**64), 2 * big),
+        (WcspInstance("2**63", (1,), (), (h,), 2**63 + 1), 2**63),
+    ):
+        assert brute_force_optimum(w) == optimum
+        assert brute_force_optimum_slow(w) == optimum
+        for merge in (False, True):
+            assert solve(w, SolverConfig(merge=merge)).optimum == optimum
+
+
+def test_library_runs_without_numpy():
+    # the library imports no numpy: a run with it blocked parses, solves
+    # merged and enumerates
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ihswcsp import SolverConfig, brute_force_optimum, parse_wcsp, solve\n"
+        f"w = parse_wcsp({TWO_OVER_ONE_SCOPE!r})\n"
+        "print(solve(w, SolverConfig(merge=True)).optimum, brute_force_optimum(w))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["4", "4"]
 
 
 def test_brute_force_infeasible():
