@@ -182,31 +182,34 @@ class _Run:
         each new core's active components lie outside ``used``.  The loop
         ends at a satisfiable probe, whose solution is recorded, or at a
         core with no active component, so within one probe per component.
-        ``improve_probes`` and ``improve_time`` cover the whole loop."""
+        ``improve_probes`` and ``improve_time`` cover the whole loop, also
+        one that a deadline ends."""
         t = time.perf_counter()
         before = self.enc.num_solves
         top = self.enc.space.maximum
         used: set[int] = set()
-        while True:
-            core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
-            self.problem.add(core)
-            self.inserted.append(core)
-            if best is not None:
-                self.record(best)
-            if not self.cfg.disjoint:
-                break
-            active = {i for i in range(len(core)) if core[i] < top[i]}
-            if not active:
-                break
-            used |= active
-            probe = tuple(top[i] if i in used else h[i] for i in range(len(h)))
-            res = self.enc.solve_induced(probe)
-            if isinstance(res, Satisfiable):
-                self.record(res)
-                break
-            lazy_core = res.lazy_core
-        self.improve_probes += self.enc.num_solves - before
-        self.improve_time += time.perf_counter() - t
+        try:
+            while True:
+                core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
+                self.problem.add(core)
+                self.inserted.append(core)
+                if best is not None:
+                    self.record(best)
+                if not self.cfg.disjoint:
+                    break
+                active = {i for i in range(len(core)) if core[i] < top[i]}
+                if not active:
+                    break
+                used |= active
+                probe = tuple(top[i] if i in used else h[i] for i in range(len(h)))
+                res = self.enc.solve_induced(probe)
+                if isinstance(res, Satisfiable):
+                    self.record(res)
+                    break
+                lazy_core = res.lazy_core
+        finally:
+            self.improve_probes += self.enc.num_solves - before
+            self.improve_time += time.perf_counter() - t
 
     def report(self, status: str) -> RunReport:
         def off(x: int | None) -> int | None:

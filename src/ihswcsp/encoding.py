@@ -7,13 +7,14 @@ single clause anchored at the level just below its own cost.  Solving the CSP
 induced by a cost vector is then a single assumption-based SAT call, and the
 failed assumptions map directly to a lazy core.
 
-Every clause built here is clean, as ``Solver.add_clauses`` requires, so it
-skips ``add_clause``'s normalisation.  ``WcspInstance`` rejects a repeated
-scope variable, so no clause repeats a variable.  Selector variables are
-created after every value variable, so a forbid clause is sorted as built
-when its scope ascends (merged scopes always do); other scopes are sorted
-here.  The solver may keep a clause list it is given, so a list the encoder
-keeps (``value_lit``) is handed over as a copy.
+Every variable is created in one ``Solver.ensure_var`` call, and every
+clause built here is clean, as ``Solver.add_clauses`` requires.
+``WcspInstance`` rejects a repeated scope variable, so no clause repeats a
+variable.  Selector variables are created after every value variable, so a
+forbid clause is sorted as built when its scope ascends (merged scopes
+always do); other scopes are sorted here.  The solver may keep a clause
+list it is given, so a list the encoder keeps (``value_lit``) is handed
+over as a copy.
 
 A table that lists every tuple (every merged table, a ``FullTable``, and
 any parsed table that lists them all) has its forbid clauses built in one
@@ -86,7 +87,7 @@ class InducedCspEncoding:
 
         # every value variable, then every selector variable, in one step
         n_sels = sum(len(f.levels) for f in instance.cost_functions)
-        solver._ensure_var(sum(instance.domains) + n_sels - 1)
+        solver.ensure_var(sum(instance.domains) + n_sels - 1)
         self.value_lit: list[list[int]] = []
         first = 0
         for d in instance.domains:
@@ -105,19 +106,21 @@ class InducedCspEncoding:
             first += len(f.levels)
             solver.add_clauses([a ^ 1, b] for a, b in zip(sels, sels[1:]))
             self.sel.append(dict(zip(f.levels, sels)))
+            # level -> the negated selector of the level below it
+            below = dict(zip(f.levels[1:], [lit ^ 1 for lit in sels]))
             if not n_unlisted[i]:
-                solver.add_clauses(self._forbidding_full(f, sels))
+                solver.add_clauses(self._forbidding_full(f, below))
                 continue
             base = space.baseline[i]
-            below = dict(zip(f.levels[1:], sels))  # level -> selector of the level below
             explicit = sorted(f.explicit.items())
             solver.add_clauses(self._forbidding(f.scope, ((t, below[c]) for t, c in explicit if c > base)))
-            # the unlisted tuples are streamed, never held as a list
+            # the unlisted tuples are streamed, never held as a list; a table
+            # with unlisted tuples has its default among its levels
             if f.default_cost > base:
                 ranges = [range(instance.domains[x]) for x in f.scope]
-                sel = sels[space.index(i, f.default_cost) - 1]
+                neg_sel = below[f.default_cost]
                 unlisted = (t for t in itertools.product(*ranges) if t not in f.explicit)
-                solver.add_clauses(self._forbidding(f.scope, ((t, sel) for t in unlisted)))
+                solver.add_clauses(self._forbidding(f.scope, ((t, neg_sel) for t in unlisted)))
         # for decoding: each variable's first value variable, and each
         # function's scope key and table lookup: a dict's with its default, a
         # FullTable's cost list with its strides (a tuple)
@@ -129,13 +132,13 @@ class InducedCspEncoding:
             for f in instance.cost_functions
         ]
 
-    def _forbidding_full(self, f, sels: list[int]):
+    def _forbidding_full(self, f, below: dict[int, int]):
         """The sorted clauses, in product order, that forbid each tuple of
         ``f`` above its lowest level while the selector of the level below
-        the tuple's cost holds.  ``f`` lists every tuple, so its costs zip
-        with the product of the scope's negated value literals; a clause is
+        the tuple's cost holds; ``below`` maps each such cost to that
+        selector, negated.  ``f`` lists every tuple, so its costs zip with
+        the product of the scope's negated value literals; a clause is
         sorted as built when the scope ascends."""
-        below = dict(zip(f.levels[1:], [lit ^ 1 for lit in sels]))
         base = f.levels[0]
         negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in f.scope]
         costs = f.dense(self.domains)
@@ -145,17 +148,17 @@ class InducedCspEncoding:
         return map(sorted, clauses)
 
     def _forbidding(self, scope, pairs):
-        """Yield, for each ``(t, sel)`` of ``pairs``, the sorted clause that
-        forbids tuple ``t`` over ``scope`` while the selector ``sel`` holds
-        (always, if ``sel`` is None).  Selector variables are created after
-        every value variable, so ``sel ^ 1`` sorts last, and an ascending
-        scope needs no sort."""
+        """Yield, for each ``(t, neg_sel)`` of ``pairs``, the sorted clause
+        that forbids tuple ``t`` over ``scope`` while the selector whose
+        negation is ``neg_sel`` holds (always, if ``neg_sel`` is None).
+        Selector variables are created after every value variable, so
+        ``neg_sel`` sorts last, and an ascending scope needs no sort."""
         negs = [[lit ^ 1 for lit in self.value_lit[x]] for x in scope]
         ascending = list(scope) == sorted(scope)
-        for t, sel in pairs:
+        for t, neg_sel in pairs:
             lits = [n[a] for n, a in zip(negs, t)]
-            if sel is not None:
-                lits.append(sel ^ 1)
+            if neg_sel is not None:
+                lits.append(neg_sel)
             yield lits if ascending else sorted(lits)
 
     # -- queries ---------------------------------------------------------------

@@ -13,7 +13,6 @@ built for a merged table.  Clusters whose union table would exceed
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import prod
@@ -79,8 +78,6 @@ class MergedProblem:
     variables and hard constraints."""
 
     view: WcspInstance
-    merged_clusters: int
-    split_clusters: int
 
 
 def _merge_group(w: WcspInstance, group: tuple[int, ...]) -> CostFunction:
@@ -122,22 +119,14 @@ def build_merged(w: WcspInstance) -> MergedProblem:
 
     # without variables there is no cluster: one empty cluster holds the
     # empty-scope functions
-    groups = _group_by_cluster(w, dclusters or [()])
-    merged_count = 0
-    split_count = 0
     final_groups: list[tuple[int, ...]] = []
-    for group in groups.values():
-        if len(group) == 1:
-            final_groups.append(tuple(group))
-            continue
-        scope_union = set(itertools.chain.from_iterable(w.cost_functions[i].scope for i in group))
-        if prod(w.domains[x] for x in scope_union) > MERGE_CAP:
-            split_count += 1
+    for group in _group_by_cluster(w, dclusters or [()]).values():
+        scope = {x for i in group for x in w.cost_functions[i].scope}
+        if len(group) > 1 and prod(w.domains[x] for x in scope) > MERGE_CAP:
             final_groups.extend((i,) for i in group)
         else:
-            merged_count += 1
             final_groups.append(tuple(group))
-    final_groups.sort(key=lambda g: g[0])
+    final_groups.sort()
     merged_funcs = [
         w.cost_functions[g[0]] if len(g) == 1 else _merge_group(w, g)
         for g in final_groups
@@ -152,4 +141,4 @@ def build_merged(w: WcspInstance) -> MergedProblem:
         top,
         w.constant_offset,
     )
-    return MergedProblem(view, merged_count, split_count)
+    return MergedProblem(view)

@@ -97,9 +97,10 @@ class CostFunction:
 
     ``explicit`` maps listed tuples to their costs: a dict for a parsed
     table, a ``FullTable`` for a merged one.  ``levels`` is the sorted set of
-    costs the function ranges over; every explicit cost appears in it, and it
-    may carry extra levels (they only enlarge the vector space, never change
-    the optimum).
+    costs the function ranges over; every explicit cost appears in it, so
+    does the default cost when the table leaves a tuple unlisted (a
+    ``WcspInstance`` refuses the function otherwise), and it may carry extra
+    levels (they only enlarge the vector space, never change the optimum).
     """
 
     scope: tuple[int, ...]
@@ -206,7 +207,7 @@ class WcspInstance:
             if not self._tuples_fit(hc.forbidden, hc.scope):
                 for t in hc.forbidden:
                     self._check_tuple(t, hc.scope)
-        for f in self.cost_functions:
+        for i, f in enumerate(self.cost_functions):
             self._check_scope(f.scope, n)
             if not all(a < b for a, b in zip(f.levels, f.levels[1:])):
                 raise ValueError("levels must be strictly increasing")
@@ -223,7 +224,11 @@ class WcspInstance:
                 if level_set.issuperset(f.explicit.costs):
                     continue
             elif self._tuples_fit(f.explicit, f.scope) and level_set.issuperset(f.explicit.values()):
-                continue
+                # an unlisted tuple costs the default, so it must be a level
+                if f.default_cost in level_set or len(f.explicit) == prod(self.domains[x] for x in f.scope):
+                    continue
+                raise ValueError(f"default cost {f.default_cost} of cost function {i} over scope "
+                                 f"{f.scope} is not a level, and its table leaves tuples unlisted")
             for t, c in f.explicit.items():  # find and name the first bad entry
                 self._check_tuple(t, f.scope)
                 if c not in level_set:

@@ -28,9 +28,11 @@ its first literal is true.
 
 A problem clause is a plain ``list`` of literals, so ``c[k]`` takes
 CPython's exact-list subscript path; only a learnt clause is a ``Learnt``,
-the list subclass that carries its activity.  ``_ensure_var`` creates any
-number of variables in one step, and ``add_clauses`` is the one path that
-loads clauses (MiniSat's ``addClause``); ``add_clause`` normalises into it.
+the list subclass that carries its activity.  As in MiniSat's interface,
+each input has one way in: ``ensure_var`` creates variables, any number in
+one step; ``add_clauses`` (MiniSat's ``addClause``) loads clauses, each
+sorted on distinct, existing variables; ``solve`` takes assumptions on
+existing variables.
 
 Literal encoding: variable ``v`` yields literals ``2*v`` (positive) and
 ``2*v + 1`` (negative); ``lit ^ 1`` negates.
@@ -102,11 +104,7 @@ class Solver:
 
     # -- variables and clauses ------------------------------------------------
 
-    def new_var(self) -> int:
-        self._ensure_var(self.num_vars)
-        return self.num_vars - 1
-
-    def _ensure_var(self, v: int) -> None:
+    def ensure_var(self, v: int) -> None:
         """Create variables up to ``v`` in one step.  A new variable's heap
         entry ``(-0.0, v)`` is at least every entry already held (keys are
         never positive, and its index is the largest), so appending the new
@@ -124,20 +122,6 @@ class Solver:
         self.seen += bytes(n)
         self.in_heap += b"\x01" * n
         self.heap += [(-0.0, u) for u in range(first, v + 1)]
-
-    def add_clause(self, lits) -> None:
-        """Add a permanent clause of any literals: duplicates are removed, a
-        tautology is dropped, and the sorted rest goes to ``add_clauses``."""
-        out = sorted(set(lits))
-        if out and out[-1] >> 1 >= self.num_vars:
-            self._ensure_var(out[-1] >> 1)
-        if not self.ok:
-            return
-        self.cancel_until(0)
-        for a, b in zip(out, out[1:]):
-            if b == a ^ 1:
-                return  # tautology
-        self.add_clauses((out,))
 
     def add_clauses(self, clauses) -> None:
         """Add permanent clauses, each a list of sorted literals on distinct,
@@ -391,8 +375,6 @@ class Solver:
 
     def solve(self, assumptions=()) -> SatResult:
         assumptions = list(assumptions)
-        if assumptions:
-            self._ensure_var(max(assumptions) >> 1)
         if not self.ok:
             return SatResult(False, failed=[])
         trail, trail_lim, val, polarity = self.trail, self.trail_lim, self.val, self.polarity

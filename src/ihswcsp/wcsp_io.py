@@ -116,9 +116,7 @@ def parse_wcsp(text: str) -> WcspInstance:
     offset = 0
     for _ in range(nfunctions):
         line_no, tokens = cur.next_row("function header")
-        vals = _ints(line_no, tokens, "function header")
-        if not vals:
-            raise WcspParseError(line_no, "empty function header")
+        vals = _ints(line_no, tokens, "function header")  # not empty: no row is blank
         arity = vals[0]
         if arity < 0 or len(vals) != arity + 3:
             raise WcspParseError(line_no, "function header must be: arity scope default ntuples")

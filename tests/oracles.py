@@ -45,6 +45,23 @@ def neg(v: int) -> int:
     return (v << 1) | 1
 
 
+def add_clause(solver, lits) -> None:
+    """Add a permanent clause of any literals to ``solver``, creating its
+    variables: duplicates are removed, a tautology is dropped, and the
+    sorted rest goes to ``Solver.add_clauses``, which takes only sorted
+    clauses on distinct, existing variables."""
+    out = sorted(set(lits))
+    if out:
+        solver.ensure_var(out[-1] >> 1)
+    if not solver.ok:
+        return
+    solver.cancel_until(0)
+    for a, b in zip(out, out[1:]):
+        if b == a ^ 1:
+            return  # tautology
+    solver.add_clauses((out,))
+
+
 def truth_table(num_vars: int, clauses):
     """Boolean mask over all ``2**num_vars`` assignments (bit ``v`` of the
     row index is variable ``v``) marking those that satisfy every clause."""
@@ -172,31 +189,37 @@ def three_colouring(n: int, seed: int = 7) -> WcspInstance:
 
 def reference_encoding_solver(instance: WcspInstance):
     """The induced-CSP encoding's clauses, every one passed through the
-    general ``Solver.add_clause`` and every unlisted tuple of a partial table
+    general ``add_clause`` above and every unlisted tuple of a partial table
     collected into a list first; returns the loaded solver."""
     from ihswcsp.sat import Solver
 
     space = LevelSpace.from_instance(instance)
     solver = Solver()
+
+    def new_lits(count):
+        first = solver.num_vars
+        solver.ensure_var(first + count - 1)
+        return [pos(v) for v in range(first, first + count)]
+
     value_lit = []
     for d in instance.domains:
-        lits = [pos(solver.new_var()) for _ in range(d)]
+        lits = new_lits(d)
         value_lit.append(lits)
-        solver.add_clause(lits)
+        add_clause(solver, lits)
         for a in range(d):
             for b in range(a + 1, d):
-                solver.add_clause([lits[a] ^ 1, lits[b] ^ 1])
+                add_clause(solver, [lits[a] ^ 1, lits[b] ^ 1])
     for hc in instance.hard_constraints:
         for t in sorted(hc.forbidden):
-            solver.add_clause([value_lit[x][a] ^ 1 for x, a in zip(hc.scope, t)])
+            add_clause(solver, [value_lit[x][a] ^ 1 for x, a in zip(hc.scope, t)])
 
     def forbid(scope, t, sel_lit):
-        solver.add_clause([sel_lit ^ 1] + [value_lit[x][a] ^ 1 for x, a in zip(scope, t)])
+        add_clause(solver, [sel_lit ^ 1] + [value_lit[x][a] ^ 1 for x, a in zip(scope, t)])
 
     for i, f in enumerate(instance.cost_functions):
-        sels = [pos(solver.new_var()) for _ in f.levels]
+        sels = new_lits(len(f.levels))
         for j in range(len(sels) - 1):
-            solver.add_clause([sels[j] ^ 1, sels[j + 1]])
+            add_clause(solver, [sels[j] ^ 1, sels[j + 1]])
         base = space.baseline[i]
         below = dict(zip(f.levels[1:], sels))
         for t, c in sorted(f.explicit.items()):

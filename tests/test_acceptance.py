@@ -20,6 +20,7 @@ from ihswcsp.model import cost, evaluate
 from ihswcsp.sat import Solver
 from ihswcsp.wcsp_io import brute_force_optimum, parse_wcsp, write_wcsp
 from oracles import (
+    add_clause,
     enumerate_hitting,
     hits,
     neg,
@@ -93,7 +94,8 @@ def test_criterion_03_sat_engine_oracle():
                 assumptions.append(pos(v) if rng.random() < 0.5 else neg(v))
         solver = Solver()
         for c in clauses:
-            solver.add_clause(c)
+            add_clause(solver, c)
+        solver.ensure_var(n - 1)
         res = solver.solve(assumptions)
         if res.sat != truth_table_sat(n, clauses, assumptions):
             failures.append((trial, "verdict"))
@@ -101,9 +103,9 @@ def test_criterion_03_sat_engine_oracle():
         if not res.sat:
             fresh = Solver()
             for c in clauses:
-                fresh.add_clause(c)
+                add_clause(fresh, c)
             for a in res.failed:
-                fresh.add_clause([a])
+                add_clause(fresh, [a])
             if fresh.solve().sat:
                 failures.append((trial, "failed-set"))
     _report(3, "sat engine vs truth tables (1000 formulas)", failures)

@@ -30,8 +30,10 @@ def test_solve_reports_optimum(toy_path, capsys):
     assert int(fields["merge_time_ms"]) >= 0 and int(fields["encode_time_ms"]) >= 0
 
 
-def test_solve_unknown_strategy_exits_one(toy_path):
+def test_solve_unknown_strategy_exits_one(toy_path, capsys):
     assert main(["solve", "--instance", str(toy_path), "--hv", "bogus"]) == 1
+    assert main(["solve", "--instance", str(toy_path), "--merge", "maybe"]) == 1
+    assert "argument --merge: expected 'on' or 'off'" in capsys.readouterr().err
 
 
 def test_solve_missing_file_exits_one(tmp_path, capsys):
@@ -97,13 +99,35 @@ def test_generate_negative_count_exits_one_before_creating_out(tmp_path, capsys)
 
 def test_generate_refused_params_exit_one_before_creating_out(tmp_path, capsys):
     cases = [("0,2,2,1,2", "all generator parameters must be positive"),
-             ("4,2,9,1,2", "m exceeds the number of distinct binary scopes")]
+             ("4,2,9,1,2", "m exceeds the number of distinct binary scopes"),
+             ("1,2,3", "--params must be five comma-separated integers n,d,m,w,t")]
     for params, message in cases:
         out = tmp_path / "never"
         assert main(["generate", "--class", "uniform", "--params", params,
                      "--count", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_generate_refuses_an_out_that_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    assert main(["generate", "--class", "uniform", "--params", "6,2,5,2,3",
+                 "--count", "1", "--out", str(blocker)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "a regular file, not a directory\n"
+
+
+def test_bench_refuses_a_missing_or_empty_instance_path(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    missing = tmp_path / "missing.wcsp"
+    assert main(["bench", "--instance", str(missing), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no such instance path {missing}\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["bench", "--instance", str(empty), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no .wcsp files under {empty}\n"
+    assert not out.exists()
 
 
 def test_parse_matrix_full_and_restricted():
@@ -303,11 +327,14 @@ def test_bench_out_failure_runs_no_solve(toy_path, tmp_path, capsys, monkeypatch
     assert main(["bench", "--instance", str(toy_path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
     assert calls == []
-    # an empty or repeated matrix value is refused before any solve too
-    for matrix in ("hv=", "hv=lb,lb"):
+    # a malformed matrix is refused before any solve too
+    for matrix, message in (("hv=", "matrix dimension 'hv' has no value"),
+                            ("hv=lb,lb", "matrix dimension 'hv' repeats a value"),
+                            ("hv", "bad matrix entry 'hv'"),
+                            ("merge=yes", "merge must be on or off, got 'yes'")):
         assert main(["bench", "--instance", str(toy_path), "--out", str(tmp_path / "rows.csv"),
                      "--matrix", matrix]) == 1
-        assert capsys.readouterr().err.startswith("error: matrix dimension 'hv' ")
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == [] and not (tmp_path / "rows.csv").exists()
 
 

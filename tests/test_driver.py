@@ -10,6 +10,7 @@ from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
 from ihswcsp.merge import build_merged
 from ihswcsp.model import (
     CostFunction,
+    FullTable,
     HardConstraint,
     WcspInstance,
     cost,
@@ -482,6 +483,57 @@ def test_default_whose_unlisted_tuples_are_all_at_top_solves_in_every_configurat
     for hv, core, merge, disjoint in itertools.product(ALL_HV, ALL_CORE, (False, True), (False, True)):
         report = solve(w, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
         assert report.optimum == 1, (hv, core, merge, disjoint)
+
+
+def test_a_default_off_the_levels_is_refused_while_a_tuple_is_unlisted():
+    # the unlisted tuple (1,) of the unary function costs its default: at 0
+    # the search read it as level 1 and reported optimum 1 against a true 0,
+    # and at 5 the encoding found no selector for it
+    pair = CostFunction((0, 1), 0, {(0, 0): 3, (1, 1): 0}, (0, 3))
+    for default in (0, 5):
+        f = CostFunction((0,), default, {(0,): 1}, (1, 2))
+        with pytest.raises(ValueError, match=rf"default cost {default} of cost function 0 over scope \(0,\)"):
+            WcspInstance("bad", (2, 2), (), (f, pair), 10)
+    # a table that lists every tuple never costs its default, so keeps any
+    for table in ({(0,): 1, (1,): 2}, FullTable((2,), [1, 2])):
+        w = WcspInstance("full", (2, 2), (), (CostFunction((0,), 5, table, (1, 2)), pair), 10)
+        assert brute_force_optimum(w) == 1
+        for merge in (False, True):
+            assert solve(w, SolverConfig(merge=merge)).optimum == 1
+
+
+def test_deadline_during_core_improvement_keeps_its_probes(monkeypatch):
+    # the 40th improvement probe meets the deadline in the middle of a
+    # refutation; the probes that refutation already made stay counted
+    import ihswcsp.driver as driver
+
+    seen = {"improving": False, "probes": 0, "other": 0}
+    inner_improve, inner_solve = driver.improve_core, InducedCspEncoding.solve_induced
+
+    def improve(*args):
+        seen["improving"] = True
+        try:
+            return inner_improve(*args)
+        finally:
+            seen["improving"] = False
+
+    def solve_induced(self, vector):
+        if not seen["improving"]:
+            seen["other"] += 1
+        elif seen["probes"] == 39:
+            raise SolveDeadlineExceeded
+        else:
+            seen["probes"] += 1
+        return inner_solve(self, vector)
+
+    monkeypatch.setattr(driver, "improve_core", improve)
+    monkeypatch.setattr(InducedCspEncoding, "solve_induced", solve_induced)
+    w = gen_uniform(GeneratorParams(10, 4, 20, 6, 10, seed=2))
+    report = solve(w, SolverConfig(hv="ub", core="maximal", merge=True))
+    assert report.status == "timeout"
+    # the feasibility pre-check, the oracle calls and every probe that ran
+    assert report.improve_probes == seen["probes"] == 39
+    assert report.sat_calls == seen["other"] + report.improve_probes == 42
 
 
 def test_constant_offset_flows_through_solve():

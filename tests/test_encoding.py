@@ -210,9 +210,9 @@ def _parsed_full_table(rng, domains, scope, root_value=False):
 
 def test_clauses_watches_and_trail_match_add_clause_encoder(monkeypatch):
     # the encoding stores clean clauses without add_clause's checks; the
-    # reference passes every clause through add_clause, so the stored
-    # clauses (with literal order), every watch list (as clause indices) and
-    # the root trail must be the same
+    # reference passes every clause through the oracles' add_clause, so the
+    # stored clauses (with literal order), every watch list (as clause
+    # indices) and the root trail must be the same
     rng = random.Random(45)
     seen = {"unit_domain": 0, "unary_hard": 0, "binary_hard": 0, "unsorted_scope": 0,
             "unlisted": 0, "merged": 0, "rows": 0, "rows_unsorted_scope": 0,

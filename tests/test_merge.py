@@ -98,7 +98,7 @@ def test_merge_two_functions_on_same_scope():
     f = merged.view.cost_functions[0]
     # achievable sums over the four assignments: 1, 3, 0, 3
     assert f.levels == (0, 1, 3)
-    assert merged.merged_clusters == 1
+    assert merged_groups_slow(w) == [(0, 1)]
 
 
 def test_disjoint_scopes_stay_singletons():
@@ -106,7 +106,7 @@ def test_disjoint_scopes_stay_singletons():
     f2 = make_cost_function((1,), 0, {(1,): 2}, (2, 2))
     w = WcspInstance("disjoint", (2, 2), (), (f1, f2), 10)
     merged = build_merged(w)
-    assert merged.merged_clusters == 0
+    assert merged_groups_slow(w) == [(0,), (1,)]
     assert merged.view.cost_functions == w.cost_functions
 
 
@@ -116,7 +116,7 @@ def test_cap_fallback_counts_splits():
     f3 = make_cost_function((0, 2), 0, {(0, 0): 3}, (17, 17, 17))
     w = WcspInstance("tri", (17, 17, 17), (), (f1, f2, f3), 10)
     merged = build_merged(w)  # union scope needs 4913 > MERGE_CAP assignments
-    assert merged.split_clusters >= 1
+    assert merged_groups_slow(w) == [(0,), (1,), (2,)]
     assert merged.view.cost_functions == w.cost_functions
 
 
@@ -187,8 +187,8 @@ def test_merging_and_validating_a_view_read_no_table_tuple(monkeypatch):
     monkeypatch.setattr(FullTable, "__getitem__", refuse)
     w = gen_uniform(GeneratorParams(60, 8, 120, 8, 24, seed=2))
     merged = build_merged(w)
-    assert merged.merged_clusters > 10
     groups = merged_groups_slow(w)
+    assert sum(len(g) > 1 for g in groups) > 10
     assert len(groups) == len(merged.view.cost_functions)
     for group, f in zip(groups, merged.view.cost_functions):
         assert type(f.explicit) is (FullTable if len(group) > 1 else dict)

@@ -7,15 +7,7 @@ from heapq import heappush
 import pytest
 
 from ihswcsp.sat import Learnt, SatResult, SolveDeadlineExceeded, Solver
-from oracles import neg, pos, random_cnf, truth_table, truth_table_sat
-
-
-def test_new_var_monotone():
-    s = Solver()
-    assert s.new_var() == 0
-    assert s.new_var() == 1
-    s.add_clause([pos(5)])
-    assert s.new_var() >= 6
+from oracles import add_clause, neg, pos, random_cnf, truth_table, truth_table_sat
 
 
 def test_ensure_var_in_one_step_matches_one_new_var_at_a_time():
@@ -24,7 +16,8 @@ def test_ensure_var_in_one_step_matches_one_new_var_at_a_time():
         rng = random.Random(5)
         s = Solver()
         for _ in range(70):
-            s.add_clause([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(16), 3)])
+            add_clause(s, [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(16), 3)])
+        s.ensure_var(15)
         for _ in range(10):
             s.solve([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(16), 3)])
         assert s.conflicts and min(s.heap)[0] < 0
@@ -33,9 +26,10 @@ def test_ensure_var_in_one_step_matches_one_new_var_at_a_time():
     for make in (Solver, bumped):
         batch, single = make(), make()
         heap = list(single.heap)
-        batch._ensure_var(batch.num_vars + 6)
+        batch.ensure_var(batch.num_vars + 6)
         for _ in range(7):
-            heappush(heap, (-0.0, single.new_var()))
+            heappush(heap, (-0.0, single.num_vars))
+            single.ensure_var(single.num_vars)
         assert single.heap == heap
         for name in ("num_vars", "watches", "val", "level", "reason", "polarity", "activity",
                      "seen", "in_heap", "heap"):
@@ -44,7 +38,7 @@ def test_ensure_var_in_one_step_matches_one_new_var_at_a_time():
 
 def test_empty_clause_is_permanent_unsat():
     s = Solver()
-    s.add_clause([])
+    add_clause(s, [])
     res = s.solve()
     assert not res.sat and res.failed == []
     assert not s.solve([pos(0)]).sat
@@ -52,21 +46,21 @@ def test_empty_clause_is_permanent_unsat():
 
 def test_unit_contradiction():
     s = Solver()
-    s.add_clause([pos(0)])
-    s.add_clause([neg(0)])
+    add_clause(s, [pos(0)])
+    add_clause(s, [neg(0)])
     assert not s.solve().sat
 
 
 def test_tautology_has_no_effect():
     s = Solver()
-    s.add_clause([pos(0), neg(0)])
+    add_clause(s, [pos(0), neg(0)])
     assert not s.clauses
     assert s.solve().sat
 
 
 def test_assumption_respected():
     s = Solver()
-    s.new_var()
+    s.ensure_var(0)
     res = s.solve([pos(0)])
     assert res.sat and res.model[0] is True
     res = s.solve([neg(0)])
@@ -75,7 +69,7 @@ def test_assumption_respected():
 
 def test_failed_assumption_contains_cause():
     s = Solver()
-    s.add_clause([neg(0)])
+    add_clause(s, [neg(0)])
     res = s.solve([pos(0)])
     assert not res.sat
     assert pos(0) in res.failed
@@ -84,8 +78,8 @@ def test_failed_assumption_contains_cause():
 def test_failed_assumptions_narrow():
     # chain: a forces b, b conflicts with assumption !b; c is irrelevant
     s = Solver()
-    s.add_clause([neg(0), pos(1)])
-    s.new_var()  # variable 2, unconstrained
+    add_clause(s, [neg(0), pos(1)])
+    s.ensure_var(2)  # variable 2, unconstrained
     res = s.solve([pos(0), pos(2), neg(1)])
     assert not res.sat
     assert set(res.failed) <= {pos(0), pos(2), neg(1)}
@@ -104,7 +98,8 @@ def test_random_cnf_against_truth_table():
                 assumptions.append(pos(v) if rng.random() < 0.5 else neg(v))
         s = Solver()
         for c in clauses:
-            s.add_clause(c)
+            add_clause(s, c)
+        s.ensure_var(n - 1)
         res = s.solve(assumptions)
         assert res.sat == truth_table_sat(n, clauses, assumptions)
         if res.sat:
@@ -125,15 +120,16 @@ def test_failed_sets_reverify_on_fresh_solver():
         assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), min(4, n))]
         s = Solver()
         for c in clauses:
-            s.add_clause(c)
+            add_clause(s, c)
+        s.ensure_var(n - 1)
         res = s.solve(assumptions)
         if res.sat:
             continue
         fresh = Solver()
         for c in clauses:
-            fresh.add_clause(c)
+            add_clause(fresh, c)
         for a in res.failed:
-            fresh.add_clause([a])
+            add_clause(fresh, [a])
         assert not fresh.solve().sat
         checked += 1
 
@@ -145,7 +141,7 @@ def test_incremental_solving_stays_correct():
     for round_no in range(30):
         n, extra = random_cnf(rng, max_vars=8)
         for c in extra:
-            s.add_clause(c)
+            add_clause(s, c)
             clauses.append(c)
         nv = max(
             (max(l >> 1 for l in c) for c in clauses if c),
@@ -165,7 +161,8 @@ def test_determinism():
     def run():
         s = Solver()
         for c in clauses:
-            s.add_clause(c)
+            add_clause(s, c)
+        s.ensure_var(n - 1)
         first = s.solve(assumptions)
         second = s.solve(assumptions)
         return first, second
@@ -188,7 +185,7 @@ def test_deadline_interrupts_solve_and_leaves_solver_usable():
     def loaded():
         s = Solver()
         for c in clauses:
-            s.add_clause(c)
+            add_clause(s, c)
         return s
 
     s = loaded()
@@ -210,7 +207,7 @@ def test_hard_random_formulas_near_phase_transition():
         ]
         s = Solver()
         for c in clauses:
-            s.add_clause(c)
+            add_clause(s, c)
         assert s.solve().sat == truth_table_sat(n, clauses)
 
 
@@ -229,14 +226,14 @@ def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
     clauses = [literals(4) for _ in range(110)]
     s = Solver()
     for c in clauses:
-        s.add_clause(c)
+        add_clause(s, c)
     base = literals(5)
     digest = hashlib.sha256()
     models = truth_table(n, clauses)
     for _ in range(300):
         if rng.random() < 0.03:
             clauses.append(literals(4))
-            s.add_clause(clauses[-1])
+            add_clause(s, clauses[-1])
             models = truth_table(n, clauses)
         if rng.random() < 0.05:
             base = literals(5)
@@ -254,7 +251,7 @@ def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
         else:
             fresh = Solver()
             for c in clauses + [[a] for a in res.failed]:
-                fresh.add_clause(c)
+                add_clause(fresh, c)
             assert not fresh.solve().sat
         digest.update(repr((res.sat, res.model, res.failed)).encode())
     assert s.conflicts > 0
@@ -282,7 +279,7 @@ def _add_clause_stream_digest():
                 seen["tautologies"] += 1
             seen["kept_levels"] += bool(s.trail_lim)
             seen["root_values"] += bool(s.trail) and not s.trail_lim
-            s.add_clause(lits)
+            add_clause(s, lits)
             state = (s.ok, s.clauses, s.watches, s.trail)
             digest.update(repr(state).encode())
             if rng.random() < 0.4:
@@ -311,7 +308,7 @@ def test_propagation_order_reasons_and_learnts_match_recorded_search():
     n = 110
     s = Solver()
     for _ in range(int(4.2 * n)):
-        s.add_clause([pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)])
+        add_clause(s, [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)])
     digest = hashlib.sha256()
     sat_calls = 0
     for _ in range(60):
@@ -336,7 +333,7 @@ def test_activity_rescale_rebuilds_heap_from_value_table():
     clauses = [[pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)] for _ in range(40)]
     s = Solver()
     for c in clauses:
-        s.add_clause(c)
+        add_clause(s, c)
     for _ in range(50):
         assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
         before = s.conflicts
@@ -356,8 +353,7 @@ def test_reduce_db_drops_a_stale_reason_and_keeps_a_locked_clause():
     # cancel_until leaves an unassigned variable's reason in place; a learnt
     # clause that is only such a stale reason must not count as locked
     s = Solver()
-    for _ in range(4):
-        s.new_var()
+    s.ensure_var(3)
 
     def learnt(lits, act):
         c = Learnt(lits)
@@ -409,10 +405,9 @@ def test_add_clauses_in_one_call_matches_add_clause_one_at_a_time():
         for cut in (30, len(stream)):
             single, batch = Solver(), Solver()
             for s in (single, batch):
-                for _ in range(n):
-                    s.new_var()
+                s.ensure_var(n - 1)
             for c in stream[:cut]:
-                single.add_clause(c)
+                add_clause(single, c)
             batch.add_clauses([list(c) for c in stream[:cut]])
             assert _state(batch) == _state(single)
             # the units shorten or satisfy some later clauses; the solver
@@ -429,8 +424,7 @@ def test_add_clauses_past_the_deadline_stores_nothing():
         n, clauses = random_cnf(rng, max_vars=12)
         clauses = [sorted(c) for c in clauses]
         s = Solver()
-        for _ in range(n):
-            s.new_var()
+        s.ensure_var(n - 1)
         s.deadline = time.perf_counter() - 1.0
         with pytest.raises(SolveDeadlineExceeded):
             s.add_clauses([list(c) for c in clauses])

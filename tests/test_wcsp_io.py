@@ -111,6 +111,13 @@ def test_write_parse_identity_on_smallest():
     assert write_wcsp(again) == write_wcsp(w)
 
 
+# the line each refused text below is refused at; blank lines count
+ERROR_LINES = {"header": 1, "domain_range": 2, "arity": 4, "scope_var": 3, "value_range": 4,
+               "truncated": 4, "non_integer": 3, "header_values": 1, "domain_count": 2,
+               "function_header": 3, "repeated_scope": 3, "negative_default": 4,
+               "negative_count": 3, "negative_cost": 4, "trailing": 6}
+
+
 @pytest.mark.parametrize("case,text", [
     ("header", "ex 1 1 1\n"),
     ("domain_range", "ex 1 2 1 10\n3\n1 0 0 0\n"),
@@ -118,11 +125,21 @@ def test_write_parse_identity_on_smallest():
     ("scope_var", "ex 1 2 1 10\n2\n1 5 0 0\n"),
     ("value_range", "ex 1 2 1 10\n2\n1 0 0 1\n7 1\n"),
     ("truncated", "ex 1 2 2 10\n2\n1 0 0 0\n"),
+    ("non_integer", "ex 1 2 1 10\n2\n1 0 x 0\n"),
+    ("header_values", "ex 1 0 1 10\n1\n1 0 0 0\n"),
+    ("domain_count", "ex 2 2 1 10\n2\n1 0 0 0\n"),
+    ("function_header", "ex 1 2 1 10\n2\n1 0 0\n"),
+    ("repeated_scope", "ex 2 2 1 10\n2 2\n2 1 1 0 0\n"),
+    ("negative_default", "ex 1 2 1 10\n2\n\n1 0 -1 0\n"),
+    ("negative_count", "ex 1 2 1 10\n2\n1 0 0 -1\n"),
+    ("negative_cost", "ex 1 2 1 10\n2\n1 0 0 1\n0 -3\n"),
+    ("trailing", "ex 1 2 1 10\n\n2\n1 0 0 0\n\n5 5\n"),
 ])
 def test_parse_errors_carry_line_numbers(case, text):
     with pytest.raises(WcspParseError) as err:
         parse_wcsp(text)
-    assert "line" in str(err.value)
+    assert str(err.value).startswith(f"line {ERROR_LINES[case]}: ")
+    assert err.value.line_no == ERROR_LINES[case]
 
 
 def test_roundtrip_preserves_optimum():
