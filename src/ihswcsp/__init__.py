@@ -13,7 +13,6 @@ from .model import (
     HardConstraint,
     LevelSpace,
     WcspInstance,
-    cost,
     evaluate,
     make_cost_function,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "WcspParseError",
     "brute_force_optimum",
     "build_merged",
-    "cost",
     "cost_bounded_hv",
     "evaluate",
     "gen_scale_free",

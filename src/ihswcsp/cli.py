@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import multiprocessing
 import sys
 from pathlib import Path
@@ -62,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--merge", type=_onoff, default=False)
     p_solve.add_argument("--disjoint", type=_onoff, default=False)
     p_solve.add_argument("--timeout", type=float, default=3600.0)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_gen = sub.add_parser("generate", help="generate a random instance family")
     p_gen.add_argument("--class", dest="family", choices=("uniform", "scale-free"), required=True)
@@ -70,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=".")
     p_gen.add_argument("--seed", type=int, default=0, help="seed of the first instance")
     p_gen.add_argument("--name", default=None, help="file-name stem (defaults to the class)")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_bench = sub.add_parser("bench", help="run a configuration matrix over instances")
     p_bench.add_argument("--instance", required=True, help="a .wcsp file or a directory of them")
@@ -77,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--matrix", default=None, help="e.g. hv=lb,ub;core=maximal;merge=on")
     p_bench.add_argument("--timeout", type=float, default=3600.0)
     p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.set_defaults(run=_cmd_bench)
 
     p_table = sub.add_parser("table", help="render ratio tables from a bench CSV")
     p_table.add_argument("--csv", required=True)
@@ -84,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--timeout", type=float, default=3600.0, help="per-run limit used for clamping")
     p_table.add_argument("--timeout-mode", choices=("clamp", "exclude"), default="clamp")
     p_table.add_argument("--out", default=None, help="also write the table to this path")
+    p_table.set_defaults(run=_cmd_table)
     return parser
 
 
@@ -147,8 +152,7 @@ def _cmd_generate(args) -> int:
     stem = args.name or args.family
     for seed, instance in zip(seeds, instances):
         path = out_dir / f"{stem}_{seed}.wcsp"
-        text = write_wcsp(instance).replace(instance.name, f"{stem}_{seed}", 1)
-        path.write_text(text)
+        path.write_text(write_wcsp(dataclasses.replace(instance, name=f"{stem}_{seed}")))
         print(path)
     return 0
 
@@ -358,6 +362,28 @@ def render_table(
     return "\n".join(out)
 
 
+def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
+    """The rows of a bench CSV.  A row that ends before a column
+    ``render_table`` reads, or whose core-set size or time is neither empty
+    nor a number (a solved run's time may not be empty), raises a
+    ``ValueError`` naming its line."""
+    rows = []
+    for row in reader:
+        for column in TABLE_FIELDS:
+            if row[column] is None:
+                raise ValueError(f"line {reader.line_num}: the row ends before its {column} column")
+        for column in ("core_set_size", "total_time_ms"):
+            value = row[column]
+            if value == "" and (column == "core_set_size" or row["status"] != "optimal"):
+                continue
+            try:
+                float(value)
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: {column} {value!r} is not a number") from None
+        rows.append(row)
+    return rows
+
+
 def _cmd_table(args) -> int:
     path = Path(args.csv)
     try:
@@ -366,13 +392,13 @@ def _cmd_table(args) -> int:
             if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
                 print("error: CSV schema mismatch", file=sys.stderr)
                 return 1
-            rows = list(reader)
+            rows = _table_rows(reader)
         text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
         if args.out:
             out = Path(args.out)
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(text + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text)
@@ -388,13 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_table(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Un
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
 from .improve import STRATEGIES, improve_core
 from .merge import build_merged
-from .model import Assignment, CostVector, LevelSpace, WcspInstance, cost
+from .model import Assignment, CostVector, WcspInstance
 
 HV_STRATEGIES = ("lb", "ub", "grd-lb", "grd-ub")
 
@@ -90,13 +90,12 @@ class _Run:
 
     def __init__(self, instance: WcspInstance, cfg: SolverConfig):
         self.cfg = cfg
-        self.started = started = time.perf_counter()
-        self.view = build_merged(instance).view if cfg.merge else instance
-        self.merge_time = time.perf_counter() - started
-        self.offset = self.view.constant_offset
-        space = LevelSpace.from_instance(self.view)
-        self.problem = HittingProblem(space, deadline=started + cfg.time_limit)
-        self.enc: InducedCspEncoding | None = None  # set by encode()
+        self.started = time.perf_counter()
+        self.deadline = self.started + cfg.time_limit
+        self.view = instance  # the merged view once set_up() has merged
+        self.enc: InducedCspEncoding | None = None  # built by set_up(); each
+        self.problem: HittingProblem | None = None  # stays None if set-up times out
+        self.merge_time = 0.0
         self.encode_time = 0.0
         self.lb = 0
         self.ub: int | None = None
@@ -110,14 +109,21 @@ class _Run:
         self.improve_time = 0.0
         self.inserted: list[CostVector] = []
 
-    def encode(self) -> None:
-        """Build the encoding under the run's deadline (the problem's), which
-        it polls."""
+    def set_up(self) -> None:
+        """Merge when on, then build the encoding, both under the run's
+        deadline, which they poll, and the hitting problem on the encoding's
+        grid."""
+        if self.cfg.merge:
+            try:
+                self.view = build_merged(self.view, self.deadline).view
+            finally:
+                self.merge_time = time.perf_counter() - self.started
         t = time.perf_counter()
         try:
-            self.enc = InducedCspEncoding(self.view, self.problem.deadline)
+            self.enc = InducedCspEncoding(self.view, self.deadline)
         finally:
             self.encode_time = time.perf_counter() - t
+        self.problem = HittingProblem(self.enc.space, deadline=self.deadline)
 
     def loop(self) -> None:
         """The IHS loop.  Its exact hitting oracle is "min" in lb modes (a
@@ -139,7 +145,7 @@ class _Run:
                 self.lb = self.ub
             else:
                 if kind == "min":
-                    self.lb = cost(h)
+                    self.lb = sum(h)
                 res = self.enc.solve_induced(h)
                 if isinstance(res, Satisfiable):
                     fallback = not self.record(res) and kind == "greedy"
@@ -148,7 +154,7 @@ class _Run:
             self.trace.append((self.lb, self.ub))
 
     def hitting(self, kind: str):
-        if time.perf_counter() > self.problem.deadline:
+        if time.perf_counter() > self.deadline:
             raise SolveDeadlineExceeded
         t = time.perf_counter()
         try:
@@ -165,7 +171,7 @@ class _Run:
         """Take the answer's solution as the incumbent if it improves ub;
         returns whether it did.  Every solution of the run comes through
         here."""
-        sv_cost = cost(res.solution_vector)
+        sv_cost = sum(res.solution_vector)
         if self.ub is None or sv_cost < self.ub:
             self.ub, self.best_assignment = sv_cost, res.assignment
             return True
@@ -213,9 +219,9 @@ class _Run:
 
     def report(self, status: str) -> RunReport:
         def off(x: int | None) -> int | None:
-            return None if x is None else x + self.offset
+            return None if x is None else x + self.view.constant_offset
 
-        enc = self.enc  # None when the deadline passed while it was built
+        enc, problem = self.enc, self.problem  # None when set-up timed out
 
         return RunReport(
             status=status,
@@ -224,12 +230,12 @@ class _Run:
             final_ub=off(self.ub),
             iterations=self.iterations,
             hv_calls=self.hv_calls,
-            hv_nodes=self.problem.nodes,
+            hv_nodes=problem.nodes if problem else 0,
             sat_calls=enc.num_solves if enc else 0,
             sat_conflicts=enc.solver.conflicts if enc else 0,
             improve_probes=self.improve_probes,
-            core_set_size=len(self.problem.cores),
-            components=len(self.problem.space.levels),
+            core_set_size=len(problem.cores) if problem else 0,
+            components=len(self.view.cost_functions),
             exact_fallbacks=self.exact_fallbacks,
             bounds_trace=[(off(lb), off(ub)) for lb, ub in self.trace],
             hv_time=self.hv_time,
@@ -238,7 +244,7 @@ class _Run:
             merge_time=self.merge_time,
             encode_time=self.encode_time,
             total_time=time.perf_counter() - self.started,
-            final_cores=list(self.problem.cores),
+            final_cores=list(problem.cores) if problem else [],
             inserted_cores=self.inserted,
             best_assignment=self.best_assignment,
         )
@@ -254,7 +260,7 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     run = _Run(instance, cfg)
     feasible = None
     try:
-        run.encode()
+        run.set_up()
         feasible = run.enc.solve_induced(run.enc.space.maximum)
         if isinstance(feasible, Unsatisfiable):
             return run.report("infeasible")

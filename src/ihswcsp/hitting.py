@@ -34,7 +34,7 @@ once it has passed.
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import Counter
 from itertools import chain
 from math import inf
@@ -85,8 +85,13 @@ class HittingProblem:
         wrong length or an entry that is not a level raises ``ValueError``."""
         if len(k) != len(self.space.levels):
             raise ValueError(f"core {k} has {len(k)} entries, not {len(self.space.levels)}")
-        js = [self.space.index(i, v) + 1 for i, v in enumerate(k)]
-        return [ls[j] if j < len(ls) else None for ls, j in zip(self.space.levels, js)]
+        above = []
+        for i, (ls, v) in enumerate(zip(self.space.levels, k)):
+            j = bisect_right(ls, v)
+            if not j or ls[j - 1] != v:
+                raise ValueError(f"value {v} is not a level of component {i}")
+            above.append(ls[j] if j < len(ls) else None)
+        return above
 
     def _append(self, k: CostVector, above: list[int | None]) -> None:
         for wl, column in zip(above, self.columns):

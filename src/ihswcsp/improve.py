@@ -10,7 +10,7 @@ raise and keeping it only while the vector stays a core.
 from __future__ import annotations
 
 from .encoding import InducedCspEncoding, Satisfiable
-from .model import CostVector, cost
+from .model import CostVector
 
 STRATEGIES = ("lazy", "cost-bounded", "partial-max", "maximal")
 
@@ -48,7 +48,7 @@ def improve_core(
         probe[i] = raised
         res = encoding.solve_induced(tuple(probe))
         if isinstance(res, Satisfiable):
-            if best is None or cost(res.solution_vector) < cost(best.solution_vector):
+            if best is None or sum(res.solution_vector) < sum(best.solution_vector):
                 best = res
             candidates.remove(i)
             if strategy == "partial-max":

@@ -9,26 +9,36 @@ is kept as a ``FullTable``, a dense, read-only mapping over its costs in
 product order, which the encoder reads as they are: no tuple-keyed dict is
 built for a merged table.  Clusters whose union table would exceed
 ``MERGE_CAP`` assignments fall back to the original unmerged functions.
+Merging polls a deadline once per elimination and once per group, and
+raises ``SolveDeadlineExceeded`` past it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Iterable
 
 from .model import CostFunction, FullTable, WcspInstance, product_sum
+from .sat import SolveDeadlineExceeded
 
 MERGE_CAP = 4096  # the most assignments a merged function's table may hold
 
 
+def _poll(deadline: float | None) -> None:
+    if deadline is not None and time.perf_counter() > deadline:
+        raise SolveDeadlineExceeded
+
+
 def min_fill_order(
-    num_vertices: int, edges: Iterable[tuple[int, int]]
+    num_vertices: int, edges: Iterable[tuple[int, int]], deadline: float | None = None
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Eliminate the vertex adding the fewest fill edges (ties: lowest index);
     returns the order and the induced clusters (vertex plus its neighbors at
-    elimination time).
+    elimination time).  ``deadline`` (a ``time.perf_counter()`` reading or
+    None) is polled before each elimination.
 
     Fill counts are kept in a heap.  An elimination changes the neighborhood
     of its neighbors only, and the edges among the common neighbors of each
@@ -52,6 +62,7 @@ def min_fill_order(
         f, v = heappop(heap)
         if f != fill[v]:
             continue  # a stale entry
+        _poll(deadline)
         fill[v] = -1  # eliminated: no entry matches it again
         nb = adj[v]
         order.append(v)
@@ -106,16 +117,17 @@ def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[
     return groups
 
 
-def build_merged(w: WcspInstance) -> MergedProblem:
+def build_merged(w: WcspInstance, deadline: float | None = None) -> MergedProblem:
     """Group cost functions by the smallest decomposition cluster containing
     their scope and materialize each multi-function group whose union-scope
-    assignment count is within ``MERGE_CAP``."""
+    assignment count is within ``MERGE_CAP``, polling ``deadline`` in the
+    decomposition and before each group."""
     edges = set()
     for f in w.cost_functions:
         for a_i, a in enumerate(f.scope):
             for b in f.scope[a_i + 1 :]:
                 edges.add((min(a, b), max(a, b)))
-    _, dclusters = min_fill_order(w.num_vars, edges)
+    _, dclusters = min_fill_order(w.num_vars, edges, deadline)
 
     # without variables there is no cluster: one empty cluster holds the
     # empty-scope functions
@@ -127,10 +139,10 @@ def build_merged(w: WcspInstance) -> MergedProblem:
         else:
             final_groups.append(tuple(group))
     final_groups.sort()
-    merged_funcs = [
-        w.cost_functions[g[0]] if len(g) == 1 else _merge_group(w, g)
-        for g in final_groups
-    ]
+    merged_funcs = []
+    for g in final_groups:
+        _poll(deadline)
+        merged_funcs.append(w.cost_functions[g[0]] if len(g) == 1 else _merge_group(w, g))
 
     top = max(w.top, max((f.levels[-1] for f in merged_funcs), default=0) + 1)
     view = WcspInstance(

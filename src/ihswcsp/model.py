@@ -14,11 +14,6 @@ CostVector = tuple[int, ...]
 Assignment = tuple[int, ...]
 
 
-def cost(v: CostVector) -> int:
-    """Sum of a vector's components."""
-    return sum(v)
-
-
 @dataclass(frozen=True)
 class HardConstraint:
     """Forbidden value combinations over an ordered variable scope."""
@@ -157,18 +152,10 @@ class LevelSpace:
         self.levels = tuple(tuple(ls) for ls in levels)
         self.baseline: CostVector = tuple(ls[0] for ls in self.levels)
         self.maximum: CostVector = tuple(ls[-1] for ls in self.levels)
-        self._index = [{lv: j for j, lv in enumerate(ls)} for ls in self.levels]
 
     @classmethod
     def from_instance(cls, w: WcspInstance) -> LevelSpace:
         return cls(f.levels for f in w.cost_functions)
-
-    def index(self, i: int, v: int) -> int:
-        """Position of ``v`` among the levels of component ``i``."""
-        j = self._index[i].get(v)
-        if j is None:
-            raise ValueError(f"value {v} is not a level of component {i}")
-        return j
 
     def above(self, i: int, v: int) -> int | None:
         """Smallest level of component ``i`` strictly above ``v``, or None

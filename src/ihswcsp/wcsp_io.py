@@ -169,13 +169,16 @@ def parse_wcsp(text: str) -> WcspInstance:
 
 def write_wcsp(w: WcspInstance) -> str:
     """Serialize an instance; ``parse_wcsp(write_wcsp(w))`` is semantically
-    identical to ``w`` (tuple order is canonicalized)."""
+    identical to ``w`` (tuple order is canonicalized).  The constant offset
+    is written as a constant function, so ``top`` is raised above it when
+    it reaches ``top``, and hard tuples are written at that raised ``top``."""
     nfunctions = len(w.cost_functions) + len(w.hard_constraints)
     if w.constant_offset:
         nfunctions += 1
     name = "-".join(w.name.split()) or "wcsp"
     max_dom = max(w.domains, default=1)
-    lines = [f"{name} {w.num_vars} {max_dom} {nfunctions} {w.top}"]
+    top = max(w.top, w.constant_offset + 1)
+    lines = [f"{name} {w.num_vars} {max_dom} {nfunctions} {top}"]
     if w.domains:
         lines.append(" ".join(str(d) for d in w.domains))
     for f in w.cost_functions:
@@ -187,7 +190,7 @@ def write_wcsp(w: WcspInstance) -> str:
         header = [len(hc.scope), *hc.scope, 0, len(hc.forbidden)]
         lines.append(" ".join(str(x) for x in header))
         for t in sorted(hc.forbidden):
-            lines.append(" ".join(str(x) for x in (*t, w.top)))
+            lines.append(" ".join(str(x) for x in (*t, top)))
     if w.constant_offset:
         lines.append(f"0 {w.constant_offset} 0")
     return "\n".join(lines) + "\n"
@@ -264,21 +267,20 @@ def gen_scale_free(p: GeneratorParams) -> WcspInstance:
 def brute_force_optimum(w: WcspInstance) -> int | None:
     """Exhaustive optimum over all assignments, exact for any int cost.
 
-    Sums every cost table, and each hard constraint as a table costing 1 on
-    its forbidden tuples, over all variables in product order by
-    ``product_sum``, in Python ints.  Returns the minimum total cost of a
-    feasible assignment (including the constant offset) or None when the
-    instance is infeasible.  Raises EnumerationCapExceeded when the
-    assignment space exceeds ENUMERATION_CAP.
+    Sums every cost table, and each hard constraint as a table costing
+    ``ban`` (more than any feasible total) on its forbidden tuples, over all
+    variables in product order by one ``product_sum``, in Python ints.
+    Returns the minimum total cost of a feasible assignment (including the
+    constant offset) or None when the instance is infeasible.  Raises
+    EnumerationCapExceeded when the assignment space exceeds ENUMERATION_CAP.
     """
     total_assignments = prod(w.domains)
     if total_assignments > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"{total_assignments} assignments exceed the cap of {ENUMERATION_CAP}"
         )
-    scope = tuple(range(w.num_vars))
-    costs = product_sum(w.domains, scope, ((f.scope, f.dense(w.domains)) for f in w.cost_functions))
-    bans = (CostFunction(hc.scope, 0, dict.fromkeys(hc.forbidden, 1), (0, 1)) for hc in w.hard_constraints)
-    banned = product_sum(w.domains, scope, ((f.scope, f.dense(w.domains)) for f in bans))
-    best = min((c for c, n in zip(costs, banned) if not n), default=None)
-    return None if best is None else best + w.constant_offset
+    ban = 1 + sum(f.levels[-1] for f in w.cost_functions)
+    bans = [CostFunction(hc.scope, 0, dict.fromkeys(hc.forbidden, ban), (0, ban)) for hc in w.hard_constraints]
+    tables = ((f.scope, f.dense(w.domains)) for f in (*w.cost_functions, *bans))
+    best = min(product_sum(w.domains, tuple(range(w.num_vars)), tables))
+    return None if best >= ban else best + w.constant_offset

@@ -229,7 +229,7 @@ def reference_encoding_solver(instance: WcspInstance):
         if f.default_cost > base:
             unlisted = [t for t in itertools.product(*ranges) if t not in f.explicit]
             for t in unlisted:
-                forbid(f.scope, t, sels[space.index(i, f.default_cost) - 1])
+                forbid(f.scope, t, sels[f.levels.index(f.default_cost) - 1])
     return solver
 
 

@@ -16,7 +16,7 @@ from ihswcsp.driver import SolverConfig, solve
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
 from ihswcsp.merge import build_merged
-from ihswcsp.model import cost, evaluate
+from ihswcsp.model import evaluate
 from ihswcsp.sat import Solver
 from ihswcsp.wcsp_io import brute_force_optimum, parse_wcsp, write_wcsp
 from oracles import (
@@ -68,16 +68,16 @@ def test_criterion_02_hitting_solver_oracle():
         if expected_cost is None:
             continue
         h = min_cost_hv(problem)
-        if cost(h) != expected_cost or h != expected_vec or not hits(h, cores):
+        if sum(h) != expected_cost or h != expected_vec or not hits(h, cores):
             failures.append((trial, "min", h, expected_cost, expected_vec))
         for ub in (expected_cost, expected_cost + 1, expected_cost + 4):
             got = cost_bounded_hv(problem, ub)
             if (got is None) != (expected_cost >= ub):
                 failures.append((trial, "bounded", ub, got))
-            elif got is not None and (cost(got) >= ub or not hits(got, cores)):
+            elif got is not None and (sum(got) >= ub or not hits(got, cores)):
                 failures.append((trial, "bounded-value", ub, got))
         g = greedy_hv(problem)
-        if not hits(g, cores) or cost(g) < expected_cost:
+        if not hits(g, cores) or sum(g) < expected_cost:
             failures.append((trial, "greedy", g))
     _report(2, "hitting vectors vs exhaustive enumeration (500 problems)", failures)
 
@@ -154,7 +154,7 @@ def test_criterion_05_bound_invariants(suite1, suite1_oracle, suite1_runs):
                 report = suite1_runs[(name, hv, "maximal", merge)]
                 view = _view_for(inst, merge)
                 proof = min_cost_hv(HittingProblem(LevelSpace.from_instance(view), report.final_cores))
-                if cost(proof) + view.constant_offset != report.optimum:
+                if sum(proof) + view.constant_offset != report.optimum:
                     failures.append((name, hv, merge, "terminal-mhv"))
     _report(5, "bound sandwich, monotone traces, terminal MHV", failures)
 

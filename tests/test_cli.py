@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from ihswcsp.cli import main, parse_matrix, render_table
+from ihswcsp.cli import TABLE_FIELDS, main, parse_matrix, render_table
 from ihswcsp.driver import SolverConfig
 from ihswcsp.wcsp_io import write_wcsp
 
@@ -80,6 +80,17 @@ def test_generate_writes_deterministic_family(tmp_path):
     assert main(args) == 0
     again = {p.name: p.read_text() for p in out.glob("*.wcsp")}
     assert first == again
+
+
+def test_generate_names_with_a_space_write_files_that_solve_reads(tmp_path, capsys):
+    out = tmp_path / "fam"
+    assert main(["generate", "--class", "uniform", "--params", "6,2,5,2,3",
+                 "--count", "1", "--out", str(out), "--seed", "4", "--name", "a b"]) == 0
+    path = out / "a b_4.wcsp"
+    assert path.read_text().startswith("a-b_4 6 2 5 ")
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(path)]) == 0
+    assert "status=optimal" in capsys.readouterr().out
 
 
 def test_generate_count_zero(tmp_path):
@@ -400,6 +411,29 @@ def test_table_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["table", "--csv", str(bad)]) == 1
+
+
+def test_table_refuses_a_bad_row_naming_its_line(tmp_path, capsys):
+    header = ",".join(TABLE_FIELDS)
+    good = "fam_0,lb,maximal,off,off,optimal,4,12"
+    cases = [
+        (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,abc\n",
+         "error: line 3: total_time_ms 'abc' is not a number\n"),
+        (f"{good}\nfam_0,ub,maximal\n", "error: line 3: the row ends before its merge column\n"),
+        (f"{good}\nfam_0,ub,maximal,off,off,timeout,x,100\n",
+         "error: line 3: core_set_size 'x' is not a number\n"),
+        (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,\n", "error: line 3: total_time_ms '' is not a number\n"),
+    ]
+    path = tmp_path / "rows.csv"
+    for kind in ("time-ratio", "core-ratio", "speedup"):
+        for body, message in cases:
+            path.write_text(f"{header}\n{body}")
+            assert main(["table", "--csv", str(path), "--kind", kind]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
+    # an error row's empty time and core-set size are read as they always were
+    path.write_text(f"{header}\n{good}\nfam_0,ub,maximal,off,off,error,,\n")
+    assert main(["table", "--csv", str(path)]) == 0
 
 
 def test_table_reads_csv_of_older_schema(tmp_path, capsys):

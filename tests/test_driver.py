@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -13,7 +14,6 @@ from ihswcsp.model import (
     FullTable,
     HardConstraint,
     WcspInstance,
-    cost,
     evaluate,
     make_cost_function,
 )
@@ -141,7 +141,7 @@ def test_lb_terminal_core_set_proves_optimum():
             report = solve(w, SolverConfig(hv=hv, core="maximal"))
             space = LevelSpace.from_instance(w)
             proof = min_cost_hv(HittingProblem(space, report.final_cores))
-            assert cost(proof) + w.constant_offset == report.optimum
+            assert sum(proof) + w.constant_offset == report.optimum
 
 
 def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
@@ -282,8 +282,6 @@ def test_timeout_reported():
 def test_timeout_keeps_the_feasibility_solution(monkeypatch):
     # a run whose first hitting call times out reports the solution of the
     # feasibility pre-check, and its cost as ub, merging on or off
-    import dataclasses
-
     import ihswcsp.driver as driver
 
     def expire(problem):
@@ -337,6 +335,51 @@ def test_deadline_interrupts_the_encoding_build():
     assert (report.sat_calls, report.sat_conflicts, report.sat_time) == (0, 0, 0.0)
     assert report.components == 4 and report.final_cores == [] and report.bounds_trace == []
     assert 0 < report.encode_time <= report.total_time
+
+
+def test_a_run_stopped_in_set_up_reports_what_it_did():
+    # an encoding stopped by the deadline (the instance above), merging off
+    # and on, then a merge stopped by it: min-fill alone on this graph takes
+    # seconds, and the run keeps the instance's 1500 functions
+    domains = (16,) * 16
+    tables = [make_cost_function((x, x + 1, x + 2, x + 3), 1, {(0,) * 4: 0}, domains) for x in (0, 4, 8, 12)]
+    dense = WcspInstance("dense", domains, (), tuple(tables), 10, 3)
+    wide = gen_uniform(GeneratorParams(300, 2, 1500, 2, 2, seed=1))
+    for w, merge, limit in ((dense, False, 0.05), (dense, True, 0.05), (wide, True, 1.0)):
+        started = time.perf_counter()
+        report = dataclasses.asdict(solve(w, SolverConfig(merge=merge, time_limit=limit)))
+        assert time.perf_counter() - started < limit + (1.5 if w is wide else 0.2)
+        times = {k: report.pop(k) for k in list(report) if k.endswith("_time")}
+        assert report == {
+            "status": "timeout", "optimum": None, "final_lb": w.constant_offset, "final_ub": None,
+            "iterations": 0, "hv_calls": 0, "hv_nodes": 0, "sat_calls": 0, "sat_conflicts": 0,
+            "improve_probes": 0, "core_set_size": 0, "components": len(w.cost_functions),
+            "exact_fallbacks": 0, "bounds_trace": [], "final_cores": [], "inserted_cores": [],
+            "best_assignment": None,
+        }
+        assert (times["hv_time"], times["sat_time"], times["improve_time"]) == (0.0, 0.0, 0.0)
+        assert (times["merge_time"] > 0) == merge
+        assert (times["encode_time"] > 0) == (w is dense)
+        assert times["merge_time"] + times["encode_time"] <= times["total_time"]
+
+
+def test_a_run_builds_one_level_space(monkeypatch):
+    import ihswcsp.model as model
+
+    built = []
+    init = model.LevelSpace.__init__
+
+    def counted(self, levels):
+        built.append(self)
+        init(self, levels)
+
+    monkeypatch.setattr(model.LevelSpace, "__init__", counted)
+    w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=5))
+    for merge in (False, True):
+        for hv in ALL_HV:
+            built.clear()
+            report = solve(w, SolverConfig(hv=hv, merge=merge))
+            assert report.status == "optimal" and len(built) == 1
 
 
 def test_deadline_holds_in_ub_mode():

@@ -17,7 +17,6 @@ from ihswcsp.hitting import (
     greedy_hv,
     min_cost_hv,
 )
-from ihswcsp.model import cost
 from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform
 from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
@@ -41,7 +40,7 @@ def test_min_cost_empty_core_set_returns_baseline():
 def test_min_cost_antichain_needs_cost_two():
     p = _problem([(0, 1, 2), (0, 1, 2)], [(1, 0), (0, 1)])
     h = min_cost_hv(p)
-    assert cost(h) == 2
+    assert sum(h) == 2
     assert hits(h, p.cores)
     assert h == (0, 2)  # lexicographically smallest among the cost-2 hitters
 
@@ -84,7 +83,7 @@ def test_cost_bounded_trivial_and_nul():
     p = _problem([(0, 1, 2), (0, 1, 2)], [(1, 0), (0, 1)])
     assert cost_bounded_hv(p, 2) is None
     h = cost_bounded_hv(p, 3)
-    assert h is not None and cost(h) == 2 and hits(h, p.cores)
+    assert h is not None and sum(h) == 2 and hits(h, p.cores)
 
 
 def test_greedy_trivial():
@@ -133,7 +132,7 @@ def test_randomized_against_enumeration():
                 min_cost_hv(problem)
             continue
         h = min_cost_hv(problem)
-        assert cost(h) == expected_cost
+        assert sum(h) == expected_cost
         assert h == expected_vec
         assert hits(h, cores)
 
@@ -145,13 +144,13 @@ def test_randomized_against_enumeration():
                 assert got is None
             else:
                 assert got is not None
-                assert cost(got) < ub
+                assert sum(got) < ub
                 assert hits(got, cores)
 
         g = greedy_hv(problem)
         pinned.append(g)
         assert hits(g, cores)
-        assert cost(g) >= expected_cost
+        assert sum(g) >= expected_cost
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
 
 
@@ -192,12 +191,12 @@ def test_dual_bound_is_admissible():
         witnesses = problem.witnesses
         deltas = [min(w - h[i] for i, w in witnesses[c]) for c in unhit]
         bound = _dual_bound(1 << 30, unhit, deltas, h, witnesses)
-        assert max(deltas) <= best - cost(h)
-        assert deltas[0] <= bound <= best - cost(h)
+        assert max(deltas) <= best - sum(h)
+        assert deltas[0] <= bound <= best - sum(h)
         # capped below its value, it stops early but still reads above the cap
         assert _dual_bound(bound - 1, unhit, deltas, h, witnesses) > bound - 1
         checked += 1
-        tight += bound == best - cost(h)
+        tight += bound == best - sum(h)
     assert checked > 250 and 0 < tight < checked
 
 
@@ -289,7 +288,7 @@ def test_min_cost_matches_enumeration_property(data):
     h = min_cost_hv(problem)
     assert h == expected_vec
     g = greedy_hv(problem)
-    assert hits(g, cores) and cost(g) >= expected_cost
+    assert hits(g, cores) and sum(g) >= expected_cost
     assert (cost_bounded_hv(problem, expected_cost) is None)
     assert cost_bounded_hv(problem, expected_cost + 1) is not None
 

@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from ihswcsp.encoding import SolveDeadlineExceeded
 from ihswcsp.merge import _group_by_cluster, _merge_group, build_merged, min_fill_order
 from ihswcsp.model import CostFunction, FullTable, WcspInstance, evaluate, make_cost_function
 from ihswcsp.wcsp_io import (
@@ -40,6 +42,31 @@ def test_min_fill_empty_graph():
     order, clusters = min_fill_order(3, [])
     assert order == [0, 1, 2]
     assert clusters == [(0,), (1,), (2,)]
+
+
+def test_merging_polls_its_deadline(monkeypatch):
+    import ihswcsp.merge as merge
+
+    w = gen_uniform(GeneratorParams(12, 3, 20, 2, 3, seed=1))
+    edges = [f.scope for f in w.cost_functions]
+    past = time.perf_counter()
+    with pytest.raises(SolveDeadlineExceeded):
+        min_fill_order(w.num_vars, edges, past)
+    with pytest.raises(SolveDeadlineExceeded):
+        build_merged(w, past)
+    assert min_fill_order(w.num_vars, edges, past + 60) == min_fill_order(w.num_vars, edges)
+    assert build_merged(w, past + 60) == build_merged(w)
+    # a deadline that passes after the decomposition stops the group loop
+    inner = merge.min_fill_order
+
+    def slow(num_vertices, edges, deadline):
+        result = inner(num_vertices, edges)
+        time.sleep(0.05)
+        return result
+
+    monkeypatch.setattr(merge, "min_fill_order", slow)
+    with pytest.raises(SolveDeadlineExceeded):
+        build_merged(w, time.perf_counter() + 0.02)
 
 
 def test_min_fill_matches_quadratic_reference():

@@ -11,17 +11,10 @@ from ihswcsp.model import (
     HardConstraint,
     LevelSpace,
     WcspInstance,
-    cost,
     evaluate,
     make_cost_function,
 )
 from oracles import dominates, hits, maximal_subset
-
-
-def test_cost():
-    assert cost((0, 0, 0)) == 0
-    assert cost((1, 0)) == 1
-    assert cost((3, 5, 2)) == 10
 
 
 def test_dominates():
@@ -109,11 +102,9 @@ def test_level_space():
     space = LevelSpace([(2, 5, 9), (4,)])
     assert space.baseline == (2, 4)
     assert space.maximum == (9, 4)
-    assert [space.index(0, v) for v in (2, 5, 9)] == [0, 1, 2]
-    assert space.index(1, 4) == 0
-    for i, v in ((0, 3), (0, 0), (1, 5)):
-        with pytest.raises(ValueError):
-            space.index(i, v)
+    for k, i, v in (((3, 4), 0, 3), ((0, 4), 0, 0), ((2, 5), 1, 5)):
+        with pytest.raises(ValueError, match=rf"value {v} is not a level of component {i}"):
+            HittingProblem(space).add(k)
     assert space.above(0, 0) == 2
     assert space.above(0, 2) == 5
     assert space.above(0, 6) == 9
@@ -150,7 +141,7 @@ def test_evaluate_total_is_vector_cost(values):
     w = WcspInstance("two", (2, 2), (), (f1, f2), 10)
     feasible, sv, total = evaluate(w, tuple(values))
     assert feasible
-    assert total == cost(sv)
+    assert total == sum(sv)
 
 
 def test_make_cost_function_levels():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihswcsp.driver import SolverConfig, solve
-from ihswcsp.model import WcspInstance, make_cost_function
+from ihswcsp.model import HardConstraint, WcspInstance, make_cost_function
 from ihswcsp.wcsp_io import (
     EnumerationCapExceeded,
     GeneratorParams,
@@ -103,6 +103,19 @@ def test_zero_variable_instance_roundtrips():
     tabbed = WcspInstance("my\tinst  x", (), (), (), 10, 3)
     assert write_wcsp(tabbed) == "my-inst-x 0 1 1 10\n0 3 0\n"
     assert parse_wcsp(write_wcsp(tabbed)) == WcspInstance("my-inst-x", (), (), (), 10, 3)
+
+
+def test_an_offset_at_or_above_top_raises_the_written_top():
+    # two constant functions fold into offset 12, above top 10
+    w = parse_wcsp("t 1 2 3 10\n2\n0 6 0\n0 6 0\n1 0 0 1\n1 3\n")
+    assert (w.constant_offset, w.top) == (12, 10)
+    hard = WcspInstance("h", (2,), (HardConstraint((0,), frozenset({(1,)})),), w.cost_functions, 10, 12)
+    assert write_wcsp(hard) == "h 1 2 3 13\n2\n1 0 0 1\n1 3\n1 0 0 1\n1 13\n0 12 0\n"
+    for inst in (w, hard):
+        again = parse_wcsp(write_wcsp(inst))
+        assert again.constant_offset == 12 and again.top == 13
+        assert again.hard_constraints == inst.hard_constraints
+        assert solve(again).optimum == solve(inst).optimum == brute_force_optimum(again) == 12
 
 
 def test_write_parse_identity_on_smallest():
