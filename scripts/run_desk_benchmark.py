@@ -6,10 +6,13 @@ time-ratio, core-ratio, and merge-speedup tables.
 Usage:
     python3 scripts/run_desk_benchmark.py [--out OUTDIR] [--count N]
                                           [--timeout SECONDS] [--jobs N]
+                                          [--seed N]
 
 The family parameters are miniature versions of the uniform and scale-free
 benchmark classes (domains / weights / sparse / scale-free-2 / scale-free-3),
-sized so the whole matrix finishes in minutes on one core.
+sized so the whole matrix finishes in minutes on one core.  OUTDIR/instances
+must hold no .wcsp file yet: the script refuses to mix a run into an earlier
+one's instances, and deletes nothing.
 """
 
 import argparse
@@ -39,6 +42,15 @@ def run(argv=None) -> int:
 
     out = Path(args.out)
     instances = out / "instances"
+    # bench reads every instance in the directory, so an earlier run's
+    # files would mix into this run's tables
+    stale = next(instances.glob("*.wcsp"), None)
+    if stale is not None:
+        print(
+            f"error: {instances} already holds instances ({stale.name}); choose a new --out",
+            file=sys.stderr,
+        )
+        return 1
     for name, family, n, d, m, w, t in FAMILIES:
         code = cli([
             "generate", "--class", family,

@@ -53,7 +53,7 @@ class Satisfiable:
 
 @dataclass(frozen=True)
 class Unsatisfiable:
-    lazy_core: CostVector
+    lazy_core: CostVector | None
 
 
 class InducedCspEncoding:
@@ -163,14 +163,16 @@ class InducedCspEncoding:
 
     # -- queries ---------------------------------------------------------------
 
-    def solve_induced(self, v: CostVector) -> Satisfiable | Unsatisfiable:
+    def solve_induced(self, v: CostVector, core: bool = True) -> Satisfiable | Unsatisfiable:
         """Solve the CSP induced by bounding every component at ``v``.
 
         SAT answers carry the decoded assignment and its solution vector
         (componentwise <= v); UNSAT answers carry the lazy core read off the
-        failed assumptions.  Each solve counts in ``num_solves`` and its time
-        in ``solve_time``, also one that passes the solver's deadline and
-        raises ``SolveDeadlineExceeded``, as does a call that starts past it.
+        failed assumptions, or None with ``core=False``, which spares the
+        solver its failed-set walk.  Each solve counts in ``num_solves`` and
+        its time in ``solve_time``, also one that passes the solver's
+        deadline and raises ``SolveDeadlineExceeded``, as does a call that
+        starts past it.
         """
         started = time.perf_counter()
         if self.solver.deadline is not None and started > self.solver.deadline:
@@ -183,7 +185,7 @@ class InducedCspEncoding:
             raise ValueError(f"cost vector {v} is not a level vector") from None
         self.num_solves += 1
         try:
-            res = self.solver.solve(assumptions)
+            res = self.solver.solve(assumptions, failed=core)
         except SolveDeadlineExceeded:
             self.solve_time += time.perf_counter() - started
             raise
@@ -196,6 +198,8 @@ class InducedCspEncoding:
                 for key, get, arg in self._tables
             ])
             out: Satisfiable | Unsatisfiable = Satisfiable(a, sv)
+        elif not core:
+            out = Unsatisfiable(None)
         else:
             failed = set(res.failed)
             maximum = self.space.maximum

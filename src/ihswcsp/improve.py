@@ -4,7 +4,8 @@ discovering better solutions along the way.
 Every strategy starts from the lazy core the oracle provides for free, then
 raises components one level at a time, always picking the candidate with the
 lowest current value (ties toward the smaller index), probing after each
-raise and keeping it only while the vector stays a core.
+raise and keeping it only while the vector stays a core.  A probe reads only
+the yes-or-no answer, so it asks the oracle for no core.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def improve_core(
         raised = space.above(i, k[i])
         probe = list(k)
         probe[i] = raised
-        res = encoding.solve_induced(tuple(probe))
+        res = encoding.solve_induced(tuple(probe), core=False)
         if isinstance(res, Satisfiable):
             if best is None or sum(res.solution_vector) < sum(best.solution_vector):
                 best = res

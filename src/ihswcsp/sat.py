@@ -4,7 +4,8 @@ MiniSat-style architecture: two watched literals, first-UIP clause learning,
 activity-driven branching with phase saving, geometric restarts, and
 activity-based reduction of the learnt-clause database.  Assumptions are
 enqueued as decisions in list order; on UNSAT the failed subset is extracted
-by final-conflict analysis over the trail (sufficient, not minimized).
+by final-conflict analysis over the trail (sufficient, not minimized), unless
+the caller asks for the yes-or-no answer alone.
 
 Values live in a per-literal table, ``val[lit]``: 1 true, 0 false, 2
 unassigned, so propagation reads a literal's value with one index and no
@@ -60,7 +61,7 @@ class Learnt(list):
 @dataclass
 class SatResult:
     """SAT outcome: a full model, or a failed subset of the assumptions that
-    is already sufficient for unsatisfiability."""
+    is already sufficient for unsatisfiability (None when not asked for)."""
 
     sat: bool
     model: list[bool] | None = None
@@ -373,7 +374,12 @@ class Solver:
 
     # -- main search -----------------------------------------------------------
 
-    def solve(self, assumptions=()) -> SatResult:
+    def solve(self, assumptions=(), failed: bool = True) -> SatResult:
+        """Solve under ``assumptions``.  An UNSAT answer at a false assumption
+        carries the failed subset of the assumptions, in assumption order;
+        with ``failed=False`` it carries None and the final-conflict walk is
+        skipped, which changes nothing else: the trail, learnt clauses,
+        activities and phases end as they would with the walk."""
         assumptions = list(assumptions)
         if not self.ok:
             return SatResult(False, failed=[])
@@ -423,11 +429,13 @@ class Solver:
                     trail_lim.append(len(trail))  # dummy level
                     continue
                 if val[lit] == 0:
-                    failed = self._analyze_final(lit)
-                    ordered = [a for a in assumptions if a in failed]
+                    out = None
+                    if failed:
+                        subset = self._analyze_final(lit)
+                        out = [a for a in assumptions if a in subset]
                     if self.conflicts != start:
                         self.cancel_until(0)
-                    return SatResult(False, failed=ordered)
+                    return SatResult(False, failed=out)
             else:
                 # branch on the most active unassigned variable; an entry
                 # whose key is not the variable's activity is a stale one

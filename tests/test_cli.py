@@ -537,3 +537,24 @@ def test_soak_reports_a_crash_with_its_instance(monkeypatch, capsys):
     line, text = out.split("\n", 1)
     assert line == "CRASH trial=0 hv=lb core=lazy merge=True disjoint=False: ValueError: boom"
     assert parse_wcsp(text).name == "soak"
+
+
+def test_desk_benchmark_refuses_an_out_with_instances(tmp_path, capsys):
+    # a second run into the same --out would bench the first run's instances
+    # too; the script stops before generating anything and deletes nothing
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_desk_benchmark", path)
+    desk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk)
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    stray = instances / "stray.wcsp"
+    stray.write_text(TOY)
+    assert desk.run(["--out", str(tmp_path), "--count", "1"]) == 1
+    assert str(instances) in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+    assert stray.read_text() == TOY
+    assert [p.name for p in instances.iterdir()] == ["stray.wcsp"]

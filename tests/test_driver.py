@@ -235,10 +235,10 @@ def test_disjoint_phase_probes_at_most_one_per_component(monkeypatch):
         finally:
             inside["improve"] = False
 
-    def solve_induced(self, vector):
+    def solve_induced(self, vector, core=True):
         if inside["phase"] and not inside["improve"]:
             phases[-1] += 1
-        return inner_solve(self, vector)
+        return inner_solve(self, vector, core)
 
     monkeypatch.setattr(driver._Run, "refute", refute)
     monkeypatch.setattr(driver, "improve_core", improve)
@@ -560,14 +560,14 @@ def test_deadline_during_core_improvement_keeps_its_probes(monkeypatch):
         finally:
             seen["improving"] = False
 
-    def solve_induced(self, vector):
+    def solve_induced(self, vector, core=True):
         if not seen["improving"]:
             seen["other"] += 1
         elif seen["probes"] == 39:
             raise SolveDeadlineExceeded
         else:
             seen["probes"] += 1
-        return inner_solve(self, vector)
+        return inner_solve(self, vector, core)
 
     monkeypatch.setattr(driver, "improve_core", improve)
     monkeypatch.setattr(InducedCspEncoding, "solve_induced", solve_induced)

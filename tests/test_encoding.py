@@ -318,8 +318,8 @@ def _check_sat_answers_decode_their_models(w, vectors):
     models = []
     inner = enc.solver.solve
 
-    def solve(assumptions):
-        res = inner(assumptions)
+    def solve(assumptions, failed=True):
+        res = inner(assumptions, failed=failed)
         models.append(res.model)
         return res
 

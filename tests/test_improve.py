@@ -4,6 +4,7 @@ import random
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.improve import improve_core
 from ihswcsp.model import CostFunction, WcspInstance, evaluate, make_cost_function
+from ihswcsp.wcsp_io import GeneratorParams, gen_uniform
 from oracles import dominates, random_tiny_instance
 
 
@@ -156,3 +157,52 @@ def test_maximal_output_is_maximal():
             raised[i] = f.levels[f.levels.index(k[i]) + 1]
             assert isinstance(fresh.solve_induced(tuple(raised)), Satisfiable)
         checked += 1
+
+
+def test_raise_probes_skip_the_failed_set_walk(monkeypatch):
+    # a raise probe reads only whether the vector is still a core, so the
+    # solver never walks for a failed set; forcing the walk back on must
+    # give the same core and best answer
+    from ihswcsp.sat import Solver
+
+    walks = [0]
+    inner_walk, inner_solve = Solver._analyze_final, InducedCspEncoding.solve_induced
+
+    def counted_walk(self, p):
+        walks[0] += 1
+        return inner_walk(self, p)
+
+    def forced_walk(self, v, core=True):
+        return inner_solve(self, v)
+
+    def improve(strategy, w, ub):
+        # the oracle's answer on the baseline, then its improvement
+        enc = InducedCspEncoding(w)
+        start = enc.solve_induced(enc.space.baseline).lazy_core
+        walks[0] = 0
+        return improve_core(strategy, start, ub, enc)
+
+    monkeypatch.setattr(Solver, "_analyze_final", counted_walk)
+    rng = random.Random(12)
+    instances = [random_tiny_instance(rng) for _ in range(40)]
+    instances += [gen_uniform(GeneratorParams(8, 3, 12, 4, 6, seed=seed)) for seed in (3, 4, 5)]
+    forced_walks = unsat_starts = 0
+    for w in instances:
+        enc = InducedCspEncoding(w)
+        walks[0] = 0
+        res = enc.solve_induced(enc.space.baseline)
+        if isinstance(res, Satisfiable):
+            assert walks[0] == 0
+            continue
+        # a plain call still walks and returns its lazy core
+        assert walks[0] == 1 and len(res.lazy_core) == len(enc.space.maximum)
+        unsat_starts += 1
+        bounded = sum(res.lazy_core) + 2
+        for strategy, ub in (("maximal", None), ("partial-max", None), ("cost-bounded", bounded)):
+            lean = improve(strategy, w, ub)
+            assert walks[0] == 0, strategy
+            with monkeypatch.context() as m:
+                m.setattr(InducedCspEncoding, "solve_induced", forced_walk)
+                assert improve(strategy, w, ub) == lean, strategy
+            forced_walks += walks[0]
+    assert unsat_starts > 10 and forced_walks > 0

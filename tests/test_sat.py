@@ -258,6 +258,53 @@ def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
     assert digest.hexdigest() == "85e64fcf547cd676c3b102b9342ac92714651611df75d6d90c7a7172a870430a"
 
 
+def test_solve_without_failed_set_keeps_the_search():
+    # two solvers answer the same warm probe sequences, one asked for the
+    # failed set and one not; skipping the final-conflict walk must leave
+    # every answer and all the state the next call reads unchanged
+    unsat = {"conflict_free": 0, "after_conflict": 0}
+    for seed in range(100, 106):
+        rng = random.Random(seed)
+        n = 16
+
+        def literals(width):
+            return [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), width)]
+
+        with_walk, without = Solver(), Solver()
+        for _ in range(110):
+            c = literals(4)
+            add_clause(with_walk, c)
+            add_clause(without, c)
+        base = literals(5)
+        for _ in range(200):
+            if rng.random() < 0.03:
+                c = literals(4)
+                add_clause(with_walk, c)
+                add_clause(without, c)
+            if rng.random() < 0.05:
+                base = literals(5)
+            assumptions = list(base)
+            assumptions[rng.randrange(len(base))] ^= 1
+            if rng.random() < 0.2:
+                base = assumptions
+            before = without.conflicts
+            a = with_walk.solve(assumptions)
+            b = without.solve(assumptions, failed=False)
+            assert (a.sat, a.model) == (b.sat, b.model)
+            if not b.sat and without.ok:
+                assert a.failed and b.failed is None
+                unsat["conflict_free" if without.conflicts == before else "after_conflict"] += 1
+            assert with_walk.trail == without.trail
+            assert with_walk.trail_lim == without.trail_lim
+            assert with_walk.conflicts == without.conflicts
+            assert with_walk.polarity == without.polarity
+            assert with_walk.activity == without.activity
+            assert [(list(c), c.act) for c in with_walk.learnts] == [
+                (list(c), c.act) for c in without.learnts
+            ]
+    assert min(unsat.values()) > 0, unsat
+
+
 def _add_clause_stream_digest():
     # seeded clause streams with duplicate literals, tautologies, unit clauses
     # (which leave true and false literals at the root), new variables, and
