@@ -253,6 +253,9 @@ def evaluate(w: WcspInstance, assignment: Assignment) -> tuple[bool, CostVector,
     """
     if len(assignment) != w.num_vars:
         raise ValueError("assignment length does not match variable count")
+    for x, (a, d) in enumerate(zip(assignment, w.domains)):
+        if not 0 <= a < d:
+            raise ValueError(f"value {a} of variable {x} is outside its domain of size {d}")
     sv = tuple(f.value(assignment) for f in w.cost_functions)
     feasible = all(not hc.violates(assignment) for hc in w.hard_constraints)
     feasible = feasible and all(v < w.top for v in sv)

@@ -6,11 +6,10 @@ from the implementation paths it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-
-import numpy as np
 
 from ihswcsp.model import (
     CostFunction,
@@ -62,28 +61,44 @@ def add_clause(solver, lits) -> None:
     solver.add_clauses((out,))
 
 
-def truth_table(num_vars: int, clauses):
-    """Boolean mask over all ``2**num_vars`` assignments (bit ``v`` of the
-    row index is variable ``v``) marking those that satisfy every clause."""
+@functools.lru_cache(maxsize=None)
+def _literal_masks(num_vars: int) -> tuple[int, ...]:
+    """Per literal, the bitmask of the ``2**num_vars`` rows (bit ``v`` of the
+    row index is variable ``v``) where it is true.  Variable ``v``'s rows
+    repeat with period ``2 * 2**v``: the upper half of each period is set.
+    One period is doubled until it spans every row."""
     n = 1 << num_vars
-    bits = np.arange(n, dtype=np.int64)
+    full = (1 << n) - 1
+    masks = []
+    for v in range(num_vars):
+        half = 1 << v
+        rows, width = ((1 << half) - 1) << half, 2 * half
+        while width < n:
+            rows |= rows << width
+            width *= 2
+        masks += [rows, full ^ rows]
+    return tuple(masks)
 
-    def lit_true(lit: int):
-        column = (bits >> (lit >> 1)) & 1
-        return column == (0 if lit & 1 else 1)
 
-    sat = np.ones(n, dtype=bool)
+def truth_table(num_vars: int, clauses) -> int:
+    """Bitmask over all ``2**num_vars`` assignments (bit ``v`` of the row
+    index is variable ``v``): bit ``r`` is set iff row ``r`` satisfies every
+    clause."""
+    masks = _literal_masks(num_vars)
+    sat = (1 << (1 << num_vars)) - 1
     for clause in clauses:
-        acc = np.zeros(n, dtype=bool)
+        acc = 0
         for lit in clause:
-            acc |= lit_true(lit)
+            acc |= masks[lit]
         sat &= acc
+        if not sat:
+            break
     return sat
 
 
 def truth_table_sat(num_vars: int, clauses, assumptions=()) -> bool:
-    """Vectorized truth-table satisfiability for CNFs up to ~22 variables."""
-    return bool(truth_table(num_vars, [*clauses, *([a] for a in assumptions)]).any())
+    """Truth-table satisfiability for CNFs up to ~22 variables."""
+    return bool(truth_table(num_vars, [*clauses, *([a] for a in assumptions)]))
 
 
 def random_cnf(rng: random.Random, max_vars: int = 14, max_width: int = 3):
@@ -105,20 +120,13 @@ def maximal_subset(vectors) -> set[CostVector]:
 
 def enumerate_hitting(levels, cores):
     """Exhaustive minimum over the full level grid: returns
-    (min_cost, lex_min_vector) or (None, None) when nothing hits."""
-    grids = np.meshgrid(*(np.asarray(ls) for ls in levels), indexing="ij")
-    vectors = np.stack([g.reshape(-1) for g in grids], axis=1)
-    ok = np.ones(len(vectors), dtype=bool)
-    for k in cores:
-        ok &= (vectors > np.asarray(k)).any(axis=1)
-    if not ok.any():
-        return None, None
-    vectors = vectors[ok]
-    costs = vectors.sum(axis=1)
-    best = costs.min()
-    candidates = vectors[costs == best]
-    order = np.lexsort(tuple(candidates[:, i] for i in range(candidates.shape[1] - 1, -1, -1)))
-    return int(best), tuple(int(x) for x in candidates[order[0]])
+    (min_cost, lex_min_vector) or (None, None) when nothing hits.  Each
+    component's levels ascend and the sort by cost is stable, so the first
+    hitting vector is the lexicographically smallest of minimum cost."""
+    for h in sorted(itertools.product(*levels), key=sum):
+        if hits(h, cores):
+            return sum(h), h
+    return None, None
 
 
 def random_level_space(rng: random.Random, max_components: int = 6, max_levels: int = 4):

@@ -127,6 +127,16 @@ def test_evaluate_forbidden_tuple():
     assert evaluate(w, (1, 0))[0]
 
 
+def test_evaluate_refuses_values_outside_the_domains():
+    hc = HardConstraint((0, 1), frozenset({(0, 0)}))
+    f = make_cost_function((0, 1), 0, {(0, 1): 2, (1, 1): 3}, (2, 2))
+    w = WcspInstance("binary", (2, 2), (hc,), (f,), 10)
+    for assignment, x, a in (((7, 9), 0, 7), ((-1, -1), 0, -1), ((1, 2), 1, 2)):
+        with pytest.raises(ValueError, match=rf"value {a} of variable {x} is outside its domain"):
+            evaluate(w, assignment)
+    assert evaluate(w, (1, 1)) == (True, (3,), 3)
+
+
 def test_evaluate_two_functions():
     f1 = make_cost_function((0,), 0, {(1,): 1}, (2, 2))
     f2 = make_cost_function((1,), 0, {(1,): 2}, (2, 2))

@@ -88,6 +88,26 @@ def test_failed_assumptions_narrow():
     assert res.failed == [a for a in [pos(0), pos(2), neg(1)] if a in set(res.failed)]
 
 
+def test_truth_table_bits_match_row_by_row_evaluation():
+    # the oracle's literal masks checked against each row's own bits: row r
+    # gives variable v the value of bit v of r
+    rng = random.Random(11)
+    masks = set()
+    for num_vars in range(1, 9):
+        for _ in range(40):
+            _, clauses = random_cnf(rng, max_vars=8)
+            # fold the variables onto range(num_vars), keeping each literal's
+            # sign; a repeated literal or a tautology is fine for a truth table
+            clauses = [[l % (2 * num_vars) for l in c] for c in clauses]
+            mask = truth_table(num_vars, clauses)
+            assert mask >> (1 << num_vars) == 0
+            for r in range(1 << num_vars):
+                row_sat = all(any((r >> (l >> 1) & 1) != l & 1 for l in c) for c in clauses)
+                assert (mask >> r & 1) == row_sat
+            masks.add(bool(mask))
+    assert masks == {False, True}
+
+
 def test_random_cnf_against_truth_table():
     rng = random.Random(77)
     for _ in range(250):
@@ -242,7 +262,7 @@ def test_warm_probe_sequence_matches_truth_table_and_recorded_search():
         if rng.random() < 0.2:
             base = assumptions
         res = s.solve(assumptions)
-        assert res.sat == bool((models & truth_table(n, [[a] for a in assumptions])).any())
+        assert res.sat == bool(models & truth_table(n, [[a] for a in assumptions]))
         if res.sat:
             for c in clauses:
                 assert any(res.model[l >> 1] == (not l & 1) for l in c)
@@ -394,6 +414,56 @@ def test_activity_rescale_rebuilds_heap_from_value_table():
     for _ in range(20):
         assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
         assert s.solve(assumptions).sat == truth_table_sat(n, clauses, assumptions)
+
+
+def test_activity_rescales_inside_search_keep_answers_and_heap(monkeypatch):
+    # increments set just below the rescale thresholds before every call make
+    # analyze rescale variable activities, and _bump_cla clause activities,
+    # mid-search on a solver with history; random 3-SAT near the phase
+    # transition has conflicts in most calls, where random_cnf's unit clauses
+    # leave almost none
+    fired = {"var": 0, "cla": 0}
+    rescale_var, bump_cla = Solver._rescale_var_activity, Solver._bump_cla
+
+    def counted_rescale_var(self):
+        fired["var"] += 1
+        rescale_var(self)
+
+    def counted_bump_cla(self, c):
+        before = self.cla_inc
+        bump_cla(self, c)
+        fired["cla"] += self.cla_inc < before
+
+    monkeypatch.setattr(Solver, "_rescale_var_activity", counted_rescale_var)
+    monkeypatch.setattr(Solver, "_bump_cla", counted_bump_cla)
+    rng = random.Random(3)
+    n = 16
+    answers = set()
+    for _ in range(30):
+        clauses = [
+            [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), 3)]
+            for _ in range(int(4.26 * n))
+        ]
+        s = Solver()
+        for c in clauses:
+            add_clause(s, c)
+        s.ensure_var(n - 1)
+        for _ in range(5):
+            assumptions = [pos(v) if rng.random() < 0.5 else neg(v) for v in rng.sample(range(n), rng.randint(0, 4))]
+            s.var_inc, s.cla_inc = 2e100, 2e20
+            res = s.solve(assumptions)
+            assert res.sat == truth_table_sat(n, clauses, assumptions)
+            answers.add(res.sat)
+            if res.sat:
+                for c in clauses:
+                    assert any(res.model[l >> 1] == (not l & 1) for l in c)
+                for a in assumptions:
+                    assert res.model[a >> 1] == (not a & 1)
+            free = [v for v in range(n) if s.val[pos(v)] == 2]
+            assert all(s.in_heap[v] for v in free)
+            assert set(s.heap) >= {(-s.activity[v], v) for v in free}
+    # both rescales fire more than once per formula on average
+    assert answers == {False, True} and fired["var"] > 30 and fired["cla"] > 30
 
 
 def test_reduce_db_drops_a_stale_reason_and_keeps_a_locked_clause():
