@@ -2,6 +2,7 @@
 families, run configuration matrices under timeouts, and render ratio tables.
 
 Exit codes for ``solve``: 0 optimal, 2 timeout, 3 infeasible, 1 error.
+Every command refuses a bad option or a file error with ``error: …``, exit 1.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -131,25 +133,18 @@ def _cmd_generate(args) -> int:
     try:
         n, d, m, w, t = (int(x) for x in args.params.split(","))
     except ValueError:
-        print("error: --params must be five comma-separated integers n,d,m,w,t", file=sys.stderr)
-        return 1
+        raise ValueError("--params must be five comma-separated integers n,d,m,w,t") from None
     if args.count < 0:
-        print(f"error: --count must be 0 or more, not {args.count}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--count must be 0 or more, not {args.count}")
+    stem = args.name or args.family
+    if any(sep and sep in stem for sep in ("/", os.sep, os.altsep)):
+        raise ValueError(f"--name must be a file-name stem, not a path: {stem!r}")
     gen = gen_uniform if args.family == "uniform" else gen_scale_free
     seeds = range(args.seed, args.seed + args.count)
-    try:  # refuse bad parameters before --out is created
-        instances = [gen(GeneratorParams(n, d, m, w, t, seed)) for seed in seeds]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # refuse bad parameters before --out is created
+    instances = [gen(GeneratorParams(n, d, m, w, t, seed)) for seed in seeds]
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    stem = args.name or args.family
+    out_dir.mkdir(parents=True, exist_ok=True)
     for seed, instance in zip(seeds, instances):
         path = out_dir / f"{stem}_{seed}.wcsp"
         path.write_text(write_wcsp(dataclasses.replace(instance, name=f"{stem}_{seed}")))
@@ -161,9 +156,9 @@ def _cmd_generate(args) -> int:
 # bench
 
 
-def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
+def parse_matrix(spec: str | None, time_limit: float = SolverConfig.time_limit) -> list[SolverConfig]:
     """The configurations of a ``--matrix`` spec (default: all 32 with
-    disjoint off), each built with the SolverConfig keywords ``limits``."""
+    disjoint off), each with the given ``time_limit``."""
     dims: dict[str, list[str]] = {
         "hv": list(HV_STRATEGIES),
         "core": list(CORE_STRATEGIES),
@@ -192,7 +187,7 @@ def parse_matrix(spec: str | None, **limits) -> list[SolverConfig]:
             if v not in ("on", "off"):
                 raise ValueError(f"{key} must be on or off, got {v!r}")
     return [
-        SolverConfig(hv=hv, core=core, merge=merge == "on", disjoint=disjoint == "on", **limits)
+        SolverConfig(hv=hv, core=core, merge=merge == "on", disjoint=disjoint == "on", time_limit=time_limit)
         for hv in dims["hv"]
         for core in dims["core"]
         for merge in dims["merge"]
@@ -220,28 +215,21 @@ def _bench_one(task: tuple[str, SolverConfig]) -> dict[str, object]:
 
 def _cmd_bench(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     root = Path(args.instance)
     if root.is_dir():
         paths = sorted(str(p) for p in root.glob("*.wcsp"))
     elif root.is_file():
         paths = [str(root)]
     else:
-        print(f"error: no such instance path {root}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no such instance path {root}")
     if not paths:
-        print(f"error: no .wcsp files under {root}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no .wcsp files under {root}")
+    matrix = parse_matrix(args.matrix, time_limit=args.timeout)
     out = Path(args.out)
-    try:
-        matrix = parse_matrix(args.matrix, time_limit=args.timeout)
-        out.parent.mkdir(parents=True, exist_ok=True)  # before any solve
-        if out.is_dir():
-            raise IsADirectoryError(f"--out {out} is a directory")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out.parent.mkdir(parents=True, exist_ok=True)  # before any solve
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
     tasks = [(path, cfg) for path in paths for cfg in matrix]
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
@@ -250,14 +238,10 @@ def _cmd_bench(args) -> int:
     else:
         rows = [_bench_one(t) for t in tasks]
     rows.sort(key=lambda r: (r["instance"], r["hv"], r["core"], r["merge"], r["disjoint"]))
-    try:
-        with out.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with out.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -267,8 +251,7 @@ def _cmd_bench(args) -> int:
 
 
 def _benchmark_of(instance: str) -> str:
-    head = instance.rpartition("_")[0]
-    return head if head else instance
+    return instance.rpartition("_")[0] or instance
 
 
 def _config_label(core: str, merge: str, disjoint: str) -> str:
@@ -307,6 +290,14 @@ def _config_stats(
     }
 
 
+def _ratio(num: float, den: float) -> str:
+    """``num / den`` to two places, of two nonnegative means: inf when only
+    ``den`` is 0 and 1.00 when both are."""
+    if den > 0:
+        return f"{num / den:.2f}"
+    return "inf" if num > 0 else "1.00"
+
+
 def render_table(
     rows: list[dict[str, str]], kind: str, timeout: float, timeout_mode: str
 ) -> str:
@@ -331,8 +322,8 @@ def render_table(
             for (_, _, merge, _), (mean, _) in stats.items():
                 if mean is not None:
                     best[merge] = min(mean, best.get(merge, mean))
-            if "on" in best and "off" in best and best["on"] > 0:
-                out.append(f"speedup = {best['off'] / best['on']:.2f}  (best-off {best['off']:.3f}s / best-on {best['on']:.3f}s)")
+            if "on" in best and "off" in best:
+                out.append(f"speedup = {_ratio(best['off'], best['on'])}  (best-off {best['off']:.3f}s / best-on {best['on']:.3f}s)")
             else:
                 out.append("speedup = -  (needs solved runs with merge on and off)")
             out.append("")
@@ -350,12 +341,8 @@ def render_table(
                     cell = "-"
                 elif mean is None:
                     cell = f"- ({unsolved})"
-                elif mean == best_mean:
-                    cell = f"1.00 ({unsolved})"
-                elif best_mean > 0:
-                    cell = f"{mean / best_mean:.2f} ({unsolved})"
                 else:
-                    cell = f"inf ({unsolved})"
+                    cell = f"{_ratio(mean, best_mean)} ({unsolved})"
                 cells.append(cell.rjust(14))
             out.append(" ".join(cells))
         out.append("")
@@ -385,22 +372,16 @@ def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
 
 
 def _cmd_table(args) -> int:
-    path = Path(args.csv)
-    try:
-        with path.open() as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
-                print("error: CSV schema mismatch", file=sys.stderr)
-                return 1
-            rows = _table_rows(reader)
-        text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
-        if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text + "\n")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with Path(args.csv).open() as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
+            raise ValueError("CSV schema mismatch")
+        rows = _table_rows(reader)
+    text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
+    if args.out:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text + "\n")
     print(text)
     return 0
 
@@ -414,7 +395,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (OSError, ValueError) as exc:  # every command's one error exit
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

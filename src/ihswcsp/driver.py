@@ -15,7 +15,7 @@ shrink the vector space first.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Unsatisfiable
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
@@ -58,35 +58,37 @@ class RunReport:
     before the first solve (a run whose deadline passes there has no
     solve).  Bounds and the optimum include the instance's constant offset.
     ``final_cores`` is the run's core set at the end and ``inserted_cores``
-    every improved core in the order it was added."""
+    every improved core in the order it was added.  Every field defaults to
+    zero or empty; ``solve`` fills them all."""
 
-    status: str
-    optimum: int | None
-    final_lb: int | None
-    final_ub: int | None
-    iterations: int
-    hv_calls: int
-    hv_nodes: int
-    sat_calls: int
-    sat_conflicts: int
-    improve_probes: int
-    core_set_size: int
-    components: int
-    exact_fallbacks: int
-    bounds_trace: list[tuple[int | None, int | None]]
-    hv_time: float
-    sat_time: float
-    improve_time: float
-    merge_time: float
-    encode_time: float
-    total_time: float
-    final_cores: list[CostVector]
-    inserted_cores: list[CostVector]
+    status: str = ""
+    optimum: int | None = None
+    final_lb: int | None = None
+    final_ub: int | None = None
+    iterations: int = 0
+    hv_calls: int = 0
+    hv_nodes: int = 0
+    sat_calls: int = 0
+    sat_conflicts: int = 0
+    improve_probes: int = 0
+    core_set_size: int = 0
+    components: int = 0
+    exact_fallbacks: int = 0
+    bounds_trace: list[tuple[int | None, int | None]] = field(default_factory=list)
+    hv_time: float = 0.0
+    sat_time: float = 0.0
+    improve_time: float = 0.0
+    merge_time: float = 0.0
+    encode_time: float = 0.0
+    total_time: float = 0.0
+    final_cores: list[CostVector] = field(default_factory=list)
+    inserted_cores: list[CostVector] = field(default_factory=list)
     best_assignment: Assignment | None = None
 
 
 class _Run:
-    """One solve: its encoding, hitting problem, bounds, incumbent and counters."""
+    """One solve: its encoding, hitting problem, bounds and incumbent, and
+    the report whose counters it updates in place."""
 
     def __init__(self, instance: WcspInstance, cfg: SolverConfig):
         self.cfg = cfg
@@ -95,19 +97,11 @@ class _Run:
         self.view = instance  # the merged view once set_up() has merged
         self.enc: InducedCspEncoding | None = None  # built by set_up(); each
         self.problem: HittingProblem | None = None  # stays None if set-up times out
-        self.merge_time = 0.0
-        self.encode_time = 0.0
         self.lb = 0
         self.ub: int | None = None
         self.best_assignment: Assignment | None = None
-        self.iterations = 0
-        self.hv_calls = 0
-        self.improve_probes = 0
-        self.exact_fallbacks = 0
         self.trace: list[tuple[int | None, int | None]] = []
-        self.hv_time = 0.0
-        self.improve_time = 0.0
-        self.inserted: list[CostVector] = []
+        self.stats = RunReport()
 
     def set_up(self) -> None:
         """Merge when on, then build the encoding, both under the run's
@@ -117,12 +111,12 @@ class _Run:
             try:
                 self.view = build_merged(self.view, self.deadline).view
             finally:
-                self.merge_time = time.perf_counter() - self.started
+                self.stats.merge_time = time.perf_counter() - self.started
         t = time.perf_counter()
         try:
             self.enc = InducedCspEncoding(self.view, self.deadline)
         finally:
-            self.encode_time = time.perf_counter() - t
+            self.stats.encode_time = time.perf_counter() - t
         self.problem = HittingProblem(self.enc.space, deadline=self.deadline)
 
     def loop(self) -> None:
@@ -136,9 +130,9 @@ class _Run:
         greedy = self.cfg.hv.startswith("grd-")
         fallback = False
         while self.ub is None or self.lb < self.ub:
-            self.iterations += 1
+            self.stats.iterations += 1
             kind = exact if fallback or not greedy else "greedy"
-            self.exact_fallbacks += fallback
+            self.stats.exact_fallbacks += fallback
             fallback = False
             h = self.hitting(kind)
             if h is None:
@@ -164,8 +158,8 @@ class _Run:
                 return cost_bounded_hv(self.problem, self.ub)
             return greedy_hv(self.problem)
         finally:
-            self.hv_time += time.perf_counter() - t
-            self.hv_calls += 1
+            self.stats.hv_time += time.perf_counter() - t
+            self.stats.hv_calls += 1
 
     def record(self, res: Satisfiable) -> bool:
         """Take the answer's solution as the incumbent if it improves ub;
@@ -198,7 +192,7 @@ class _Run:
             while True:
                 core, best = improve_core(self.cfg.core, lazy_core, self.ub, self.enc)
                 self.problem.add(core)
-                self.inserted.append(core)
+                self.stats.inserted_cores.append(core)
                 if best is not None:
                     self.record(best)
                 if not self.cfg.disjoint:
@@ -214,40 +208,31 @@ class _Run:
                     break
                 lazy_core = res.lazy_core
         finally:
-            self.improve_probes += self.enc.num_solves - before
-            self.improve_time += time.perf_counter() - t
+            self.stats.improve_probes += self.enc.num_solves - before
+            self.stats.improve_time += time.perf_counter() - t
 
     def report(self, status: str) -> RunReport:
+        """The run's report, completed with its status, bounds, trace and
+        total time and the encoding's and hitting problem's counters; a run
+        stopped in set-up has neither and keeps those counters' defaults."""
+
         def off(x: int | None) -> int | None:
             return None if x is None else x + self.view.constant_offset
 
-        enc, problem = self.enc, self.problem  # None when set-up timed out
-
-        return RunReport(
-            status=status,
-            optimum=off(self.lb) if status == "optimal" else None,
-            final_lb=off(self.lb),
-            final_ub=off(self.ub),
-            iterations=self.iterations,
-            hv_calls=self.hv_calls,
-            hv_nodes=problem.nodes if problem else 0,
-            sat_calls=enc.num_solves if enc else 0,
-            sat_conflicts=enc.solver.conflicts if enc else 0,
-            improve_probes=self.improve_probes,
-            core_set_size=len(problem.cores) if problem else 0,
-            components=len(self.view.cost_functions),
-            exact_fallbacks=self.exact_fallbacks,
-            bounds_trace=[(off(lb), off(ub)) for lb, ub in self.trace],
-            hv_time=self.hv_time,
-            sat_time=enc.solve_time if enc else 0.0,
-            improve_time=self.improve_time,
-            merge_time=self.merge_time,
-            encode_time=self.encode_time,
-            total_time=time.perf_counter() - self.started,
-            final_cores=list(problem.cores) if problem else [],
-            inserted_cores=self.inserted,
-            best_assignment=self.best_assignment,
-        )
+        r = self.stats
+        r.status = status
+        r.optimum = off(self.lb) if status == "optimal" else None
+        r.final_lb, r.final_ub = off(self.lb), off(self.ub)
+        r.bounds_trace = [(off(lb), off(ub)) for lb, ub in self.trace]
+        r.components = len(self.view.cost_functions)
+        r.best_assignment = self.best_assignment
+        if self.problem is not None:
+            r.hv_nodes, r.final_cores = self.problem.nodes, list(self.problem.cores)
+            r.core_set_size = len(r.final_cores)
+            r.sat_calls, r.sat_time = self.enc.num_solves, self.enc.solve_time
+            r.sat_conflicts = self.enc.solver.conflicts
+        r.total_time = time.perf_counter() - self.started
+        return r
 
 
 def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:

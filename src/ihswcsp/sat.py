@@ -47,9 +47,10 @@ from heapq import heapify, heappop, heappush
 
 
 class SolveDeadlineExceeded(RuntimeError):
-    """Cooperative timeout: raised by a SAT solve, before an oracle call that
-    would start past the deadline, and by the hitting-vector branch and
-    bound, each of which polls it."""
+    """Cooperative timeout, raised past a run's deadline by whatever polls
+    it: merging, the encoder's clause loading, a SAT solve, the checks
+    before each induced-CSP call and each hitting call, and the
+    hitting-vector branch and bound."""
 
 
 class Learnt(list):

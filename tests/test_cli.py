@@ -1,4 +1,6 @@
 import csv
+import errno
+import os
 
 import pytest
 
@@ -127,6 +129,24 @@ def test_generate_refuses_an_out_that_is_a_file(tmp_path, capsys):
                  "--count", "1", "--out", str(blocker)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert blocker.read_text() == "a regular file, not a directory\n"
+
+
+def test_generate_refuses_a_name_with_a_path_separator_before_creating_out(tmp_path, capsys):
+    for name in {"a/b", os.path.join("a", "b")}:
+        out = tmp_path / "never"
+        assert main(["generate", "--class", "uniform", "--params", "6,2,5,2,3",
+                     "--count", "1", "--out", str(out), "--name", name]) == 1
+        assert capsys.readouterr().err.startswith("error: --name ")
+        assert not out.exists()
+
+
+def test_generate_write_error_leaves_through_the_error_exit(tmp_path, capsys):
+    out = tmp_path / "fam"
+    (out / "uniform_1.wcsp").mkdir(parents=True)
+    assert main(["generate", "--class", "uniform", "--params", "6,2,5,2,3",
+                 "--count", "1", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EISDIR}] ") and "Traceback" not in err
 
 
 def test_bench_refuses_a_missing_or_empty_instance_path(tmp_path, capsys):
@@ -405,12 +425,20 @@ def test_render_table_speedup():
     ]
     text = render_table(rows, "speedup", timeout=60, timeout_mode="clamp")
     assert "speedup = 4.00" in text
+    # solved runs whose time rounds to 0 ms still have a speedup
+    off = _mk_row("a_1", "lb", "lazy", "off", "optimal", 3, 4)
+    on = _mk_row("a_1", "lb", "lazy", "on", "optimal", 0, 4)
+    text = render_table([on, off], "speedup", timeout=60, timeout_mode="clamp")
+    assert "speedup = inf  (best-off 0.003s / best-on 0.000s)" in text
+    both = render_table([on, {**off, "total_time_ms": "0"}], "speedup", timeout=60, timeout_mode="clamp")
+    assert "speedup = 1.00  (best-off 0.000s / best-on 0.000s)" in both
 
 
 def test_table_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["table", "--csv", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: CSV schema mismatch\n"
 
 
 def test_table_refuses_a_bad_row_naming_its_line(tmp_path, capsys):
