@@ -351,14 +351,17 @@ def render_table(
 
 def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
     """The rows of a bench CSV.  A row that ends before a column
-    ``render_table`` reads, or whose core-set size or time is neither empty
-    nor a number (a solved run's time may not be empty), raises a
-    ``ValueError`` naming its line."""
+    ``render_table`` reads, whose ``hv`` is not a strategy, or whose
+    core-set size or time is neither empty nor a number (a solved run's time
+    may not be empty), raises a ``ValueError`` naming its line."""
     rows = []
     for row in reader:
         for column in TABLE_FIELDS:
             if row[column] is None:
                 raise ValueError(f"line {reader.line_num}: the row ends before its {column} column")
+        if row["hv"] not in HV_STRATEGIES:
+            hvs = ", ".join(HV_STRATEGIES)
+            raise ValueError(f"line {reader.line_num}: hv {row['hv']!r} is not one of {hvs}")
         for column in ("core_set_size", "total_time_ms"):
             value = row[column]
             if value == "" and (column == "core_set_size" or row["status"] != "optimal"):
@@ -372,11 +375,17 @@ def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
 
 
 def _cmd_table(args) -> int:
+    if not args.timeout > 0:  # NaN too, as SolverConfig refuses it
+        raise ValueError(f"--timeout must be positive, not {args.timeout}")
     with Path(args.csv).open() as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
-            raise ValueError("CSV schema mismatch")
-        rows = _table_rows(reader)
+        try:
+            if reader.fieldnames is None or set(TABLE_FIELDS) - set(reader.fieldnames):
+                raise ValueError("CSV schema mismatch")
+            rows = _table_rows(reader)
+        except csv.Error as exc:  # say, a field over the csv module's size limit
+            # reader.line_num only moves past lines read whole
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     text = render_table(rows, args.kind, args.timeout, args.timeout_mode)
     if args.out:
         out = Path(args.out)

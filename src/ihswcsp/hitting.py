@@ -1,12 +1,15 @@
 """Hitting vectors over a core set: exact minimum-cost, cost-bounded decision,
 and greedy ratio heuristic.
 
-The core set is a ``HittingProblem``.  A run owns one, and ``add`` grows it
-by one core per step, keeping it an antichain under domination: a core that a
-stored one dominates is refused, and one that is stored drops the cores it
-dominates, in one pass over the stored cores.  The witness tables grow with
-it, so no call rebuilds them.  Cores are level vectors (any other raises
-``ValueError``), so every search starts from the baseline with all unhit.
+The core set is a ``HittingProblem``.  A run owns one, and ``add``, the only
+way a core enters it, grows it by one core per step, keeping it an antichain
+under domination: a core that a stored one dominates is refused, and one that
+is stored drops the cores it dominates, in one pass over the stored cores.
+``add`` checks each core once, before it changes anything: the core must be a
+level vector (``LevelSpace.above`` refuses any other with ``ValueError``) and
+below the maximum somewhere (else ``Unhittable``).  So every stored core can
+be hit, and every search starts from the baseline with all unhit.  The
+witness tables grow with the core set, so no call rebuilds them.
 
 All three searches operate on the level grid: a vector hits a core iff some
 component reaches that core's witness level (the smallest level strictly
@@ -34,12 +37,11 @@ once it has passed.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import Counter
 from itertools import chain
 from math import inf
 from operator import le
-from typing import Iterable
 
 from .sat import SolveDeadlineExceeded
 from .model import CostVector, LevelSpace
@@ -48,8 +50,8 @@ _POLL_MASK = 1023  # the deadline is read when the node count is a multiple of 1
 
 
 class Unhittable(RuntimeError):
-    """A core sits at the all-max vector; no vector can hit it.  This cannot
-    happen for cores produced by a sound run and signals an internal bug."""
+    """``HittingProblem.add`` refuses a core at the all-max vector, which no
+    vector can hit.  A sound run never finds one, so it signals a bug."""
 
 
 class HittingProblem:
@@ -63,12 +65,9 @@ class HittingProblem:
     or, where there is none, a value above every level whose distance to any
     level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
     reading after which the branch and bound gives up; ``nodes`` counts the
-    nodes it has visited.  The constructor stores the level vectors ``cores``
-    as given, in order."""
+    nodes it has visited.  A new problem holds no core."""
 
-    def __init__(
-        self, space: LevelSpace, cores: Iterable[CostVector] = (), deadline: float | None = None
-    ):
+    def __init__(self, space: LevelSpace, deadline: float | None = None):
         self.space = space
         self.deadline = deadline
         self.nodes = 0
@@ -76,36 +75,19 @@ class HittingProblem:
         self.witnesses: list[tuple[tuple[int, int], ...]] = []
         self.columns: list[list[int]] = [[] for _ in space.levels]
         self._none = 2 * max(space.maximum, default=0) - min(space.baseline, default=0) + 1
-        for k in cores:
-            k = tuple(k)
-            self._append(k, self._above(k))
-
-    def _above(self, k: CostVector) -> list[int | None]:
-        """``k``'s witness level at each component, None at its maximum; a
-        wrong length or an entry that is not a level raises ``ValueError``."""
-        if len(k) != len(self.space.levels):
-            raise ValueError(f"core {k} has {len(k)} entries, not {len(self.space.levels)}")
-        above = []
-        for i, (ls, v) in enumerate(zip(self.space.levels, k)):
-            j = bisect_right(ls, v)
-            if not j or ls[j - 1] != v:
-                raise ValueError(f"value {v} is not a level of component {i}")
-            above.append(ls[j] if j < len(ls) else None)
-        return above
-
-    def _append(self, k: CostVector, above: list[int | None]) -> None:
-        for wl, column in zip(above, self.columns):
-            column.append(self._none if wl is None else wl)
-        self.cores.append(k)
-        self.witnesses.append(tuple((i, wl) for i, wl in enumerate(above) if wl is not None))
 
     def add(self, k: CostVector) -> bool:
         """Store ``k`` unless a stored core dominates it, and drop the stored
         cores it dominates; the rest keep their order and ``k`` goes last.
-        Returns whether ``k`` was stored; a refusal or a ``ValueError``
-        changes nothing."""
+        Returns whether ``k`` was stored.  A core of the wrong length or off
+        the level grid raises ``ValueError``, and one at the maximum on every
+        component ``Unhittable``; a refusal or a raise changes nothing."""
         k = tuple(k)
-        above = self._above(k)
+        if len(k) != len(self.space.levels):
+            raise ValueError(f"core {k} has {len(k)} entries, not {len(self.space.levels)}")
+        above = list(map(self.space.above, range(len(k)), k))
+        if above.count(None) == len(k):
+            raise Unhittable(f"core {k} is at the maximum level everywhere")
         keep = []
         for c, old in enumerate(self.cores):
             if all(map(le, k, old)):
@@ -116,13 +98,11 @@ class HittingProblem:
             self.cores = [self.cores[c] for c in keep]
             self.witnesses = [self.witnesses[c] for c in keep]
             self.columns = [[column[c] for c in keep] for column in self.columns]
-        self._append(k, above)
+        for wl, column in zip(above, self.columns):
+            column.append(self._none if wl is None else wl)
+        self.cores.append(k)
+        self.witnesses.append(tuple((i, wl) for i, wl in enumerate(above) if wl is not None))
         return True
-
-    def _check_hittable(self) -> None:
-        if () in self.witnesses:
-            k = self.cores[self.witnesses.index(())]
-            raise Unhittable(f"core {k} is at the maximum level everywhere")
 
 
 def _dual_bound(
@@ -206,7 +186,6 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     to more than its slack is pruned if the dual ascent ``_dual_bound`` does
     too.  Both bounds are admissible: every node on the way to the result
     survives, and only the node count depends on them."""
-    problem._check_hittable()
     witnesses, columns = problem.witnesses, problem.columns
     deadline = problem.deadline
     h = list(problem.space.baseline)
@@ -297,7 +276,6 @@ def greedy_hv(problem: HittingProblem) -> CostVector:
     minimizing (cost increase) / (newly hit cores).  Ties prefer the smaller
     increase, then the smaller component, then the smaller level.  Candidates
     are the witness levels of currently-unhit cores."""
-    problem._check_hittable()
     witnesses, columns = problem.witnesses, problem.columns
     h = list(problem.space.baseline)
     unhit = list(range(len(witnesses)))

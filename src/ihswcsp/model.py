@@ -158,10 +158,13 @@ class LevelSpace:
         return cls(f.levels for f in w.cost_functions)
 
     def above(self, i: int, v: int) -> int | None:
-        """Smallest level of component ``i`` strictly above ``v``, or None
-        when ``v`` is at or above its maximum."""
+        """The level of component ``i`` next above its level ``v``, or None
+        when ``v`` is its maximum; a ``v`` that is not one of its levels
+        raises ``ValueError``."""
         ls = self.levels[i]
         j = bisect_right(ls, v)
+        if not j or ls[j - 1] != v:
+            raise ValueError(f"value {v} is not a level of component {i}")
         return ls[j] if j < len(ls) else None
 
 

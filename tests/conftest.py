@@ -7,10 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ihswcsp.driver import SolverConfig, solve
+from ihswcsp.hitting import HittingProblem
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
 
 HV_ALL = ("lb", "ub", "grd-lb", "grd-ub")
 CORE_ALL = ("lazy", "cost-bounded", "partial-max", "maximal")
+
+
+def grown(space, cores, deadline=None) -> HittingProblem:
+    """A ``HittingProblem`` on ``space`` that ``add`` has given ``cores``, in order."""
+    problem = HittingProblem(space, deadline)
+    for k in cores:
+        problem.add(k)
+    return problem
+
 
 SUITE1_SEED = 90210
 SUITE1_COUNT = 200

@@ -9,12 +9,12 @@ import itertools
 import random
 from collections import defaultdict
 
-from conftest import CORE_ALL, HV_ALL
+from conftest import CORE_ALL, HV_ALL, grown
 
 from ihswcsp.cli import main as cli_main
 from ihswcsp.driver import SolverConfig, solve
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
-from ihswcsp.hitting import HittingProblem, LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
+from ihswcsp.hitting import LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
 from ihswcsp.merge import build_merged
 from ihswcsp.model import evaluate
 from ihswcsp.sat import Solver
@@ -63,10 +63,10 @@ def test_criterion_02_hitting_solver_oracle():
     for trial in range(500):
         levels = random_level_space(rng)
         cores = random_cores(rng, levels)
-        problem = HittingProblem(LevelSpace(levels), cores)
         expected_cost, expected_vec = enumerate_hitting(levels, cores)
         if expected_cost is None:
             continue
+        problem = grown(LevelSpace(levels), cores)
         h = min_cost_hv(problem)
         if sum(h) != expected_cost or h != expected_vec or not hits(h, cores):
             failures.append((trial, "min", h, expected_cost, expected_vec))
@@ -153,7 +153,7 @@ def test_criterion_05_bound_invariants(suite1, suite1_oracle, suite1_runs):
             for merge in (False, True):
                 report = suite1_runs[(name, hv, "maximal", merge)]
                 view = _view_for(inst, merge)
-                proof = min_cost_hv(HittingProblem(LevelSpace.from_instance(view), report.final_cores))
+                proof = min_cost_hv(grown(LevelSpace.from_instance(view), report.final_cores))
                 if sum(proof) + view.constant_offset != report.optimum:
                     failures.append((name, hv, merge, "terminal-mhv"))
     _report(5, "bound sandwich, monotone traces, terminal MHV", failures)

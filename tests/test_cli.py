@@ -451,6 +451,11 @@ def test_table_refuses_a_bad_row_naming_its_line(tmp_path, capsys):
         (f"{good}\nfam_0,ub,maximal,off,off,timeout,x,100\n",
          "error: line 3: core_set_size 'x' is not a number\n"),
         (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,\n", "error: line 3: total_time_ms '' is not a number\n"),
+        (f"{good}\nfam_0,xx,maximal,off,off,optimal,4,12\n",
+         "error: line 3: hv 'xx' is not one of lb, ub, grd-lb, grd-ub\n"),
+        # a field over the csv module's 131072-character limit
+        (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,{'1' * 200_000}\n",
+         "error: line 3: field larger than field limit (131072)\n"),
     ]
     path = tmp_path / "rows.csv"
     for kind in ("time-ratio", "core-ratio", "speedup"):
@@ -462,6 +467,19 @@ def test_table_refuses_a_bad_row_naming_its_line(tmp_path, capsys):
     # an error row's empty time and core-set size are read as they always were
     path.write_text(f"{header}\n{good}\nfam_0,ub,maximal,off,off,error,,\n")
     assert main(["table", "--csv", str(path)]) == 0
+
+
+def test_table_refuses_an_oversized_header_and_a_bad_timeout(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("x" * 200_000 + "\n")
+    assert main(["table", "--csv", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 1: field larger than field limit (131072)\n"
+    # as solve and bench refuse a time limit that is not positive
+    path.write_text(",".join(TABLE_FIELDS) + "\nfam_0,lb,maximal,off,off,optimal,4,12\n")
+    for value in ("0", "-5", "nan"):
+        assert main(["table", "--csv", str(path), "--timeout", value]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --timeout must be positive, not {float(value)}\n")
 
 
 def test_table_reads_csv_of_older_schema(tmp_path, capsys):

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from conftest import grown
+
 from ihswcsp.driver import SolverConfig, solve
 from ihswcsp.encoding import InducedCspEncoding, SolveDeadlineExceeded, Unsatisfiable
 from ihswcsp.hitting import HittingProblem, LevelSpace, min_cost_hv
@@ -126,7 +128,7 @@ def test_lb_without_disjoint_inserts_one_core_per_nonfinal_iteration():
 def test_default_solve_reports_its_cores():
     w = gen_uniform(GeneratorParams(8, 3, 10, 2, 6, seed=5))
     report = solve(w)
-    rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
+    rebuilt = grown(LevelSpace.from_instance(w), report.final_cores)
     assert report.final_cores == rebuilt.cores
     assert report.inserted_cores
 
@@ -140,7 +142,7 @@ def test_lb_terminal_core_set_proves_optimum():
         for hv in ("lb", "grd-lb"):
             report = solve(w, SolverConfig(hv=hv, core="maximal"))
             space = LevelSpace.from_instance(w)
-            proof = min_cost_hv(HittingProblem(space, report.final_cores))
+            proof = min_cost_hv(grown(space, report.final_cores))
             assert sum(proof) + w.constant_offset == report.optimum
 
 
@@ -163,7 +165,7 @@ def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
             cfg = SolverConfig(hv="lb", core=core, disjoint=disjoint)
             report = solve(w, cfg)
             [problem] = built
-            rebuilt = HittingProblem(LevelSpace.from_instance(w), report.final_cores)
+            rebuilt = grown(LevelSpace.from_instance(w), report.final_cores)
             for table in ("cores", "witnesses", "columns"):
                 assert getattr(problem, table) == getattr(rebuilt, table)
             # the antichain rules, replayed: add stores every core the run

@@ -104,8 +104,11 @@ def test_rejects_off_level_values():
     f = make_cost_function((0,), 0, {(1,): 2}, (2,))
     w = WcspInstance("lvl", (2,), (), (f,), 10)
     enc = InducedCspEncoding(w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cost vector \(1,\) is not a level vector$"):
         enc.solve_induced((1,))
+    for v in ((), (0, 2)):
+        with pytest.raises(ValueError, match="^cost vector length does not match component count$"):
+            enc.solve_induced(v)
 
 
 def test_exhaustive_equivalence_on_tiny_instances():

@@ -1,15 +1,18 @@
 import hashlib
+import inspect
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grown
+
 from ihswcsp import SolverConfig, solve
 from ihswcsp.encoding import SolveDeadlineExceeded
 from ihswcsp.hitting import (
-    HittingProblem,
     LevelSpace,
     Unhittable,
     _dual_bound,
@@ -22,14 +25,7 @@ from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
 
 def _problem(levels, cores, deadline=None):
-    return HittingProblem(LevelSpace(tuple(tuple(ls) for ls in levels)), cores, deadline)
-
-
-def _singletons(n, deadline=None):
-    # core j is 0 at component j and at the maximum 1 elsewhere, so the only
-    # hitting vector raises every component: a search n raises deep
-    cores = [tuple(0 if i == j else 1 for i in range(n)) for j in range(n)]
-    return _problem([(0, 1)] * n, cores, deadline)
+    return grown(LevelSpace(tuple(tuple(ls) for ls in levels)), cores, deadline)
 
 
 def test_min_cost_empty_core_set_returns_baseline():
@@ -51,9 +47,8 @@ def test_min_cost_chain_hits_through_second_component():
 
 
 def test_min_cost_unhittable():
-    p = _problem([(0, 1), (0, 2)], [(1, 2)])
     with pytest.raises(Unhittable):
-        min_cost_hv(p)
+        _problem([(0, 1), (0, 2)], [(1, 2)])
 
 
 def test_core_off_the_level_grid_is_refused():
@@ -113,10 +108,11 @@ def test_nonzero_baseline_levels():
     # both (5,1) and (2,4) cost 6; lex-min is (2,4)
 
 
-# sha256 of the cost-bounded and greedy vectors below.  The driver's traces
-# depend on which leaf the cost-bounded search finds first and on greedy's
-# tie-breaks, so a faster search must still return exactly these vectors.
-PINNED_VECTORS = "9d2c3db85dce30e4813597d17670fa282e0edb7e766d477954dd0bb4acbd8f6d"
+# sha256 of the cost-bounded and greedy vectors below, over the antichains
+# that add keeps of the random cores.  The driver's traces depend on which
+# leaf the cost-bounded search finds first and on greedy's tie-breaks, so a
+# faster search must still return exactly these vectors.
+PINNED_VECTORS = "a2e7ca00b75bfd559057472ca9d79b76db05b4d726c7de62e142911fd1169746"
 
 
 def test_randomized_against_enumeration():
@@ -125,12 +121,12 @@ def test_randomized_against_enumeration():
     for _ in range(200):
         levels = random_level_space(rng)
         cores = random_cores(rng, levels)
-        problem = _problem(levels, cores)
         expected_cost, expected_vec = enumerate_hitting(levels, cores)
         if expected_cost is None:
             with pytest.raises(Unhittable):
-                min_cost_hv(problem)
+                _problem(levels, cores)
             continue
+        problem = _problem(levels, cores)
         h = min_cost_hv(problem)
         assert sum(h) == expected_cost
         assert h == expected_vec
@@ -183,9 +179,11 @@ def test_dual_bound_is_admissible():
         h = [rng.choice(ls) for ls in levels]
         above = [tuple(v for v in ls if v >= hi) for ls, hi in zip(levels, h)]
         best, _ = enumerate_hitting(above, cores)
+        if best is None:
+            continue
         problem = _problem(levels, cores)
         unhit = [c for c, k in enumerate(problem.cores) if all(a <= b for a, b in zip(h, k))]
-        if best is None or not unhit:
+        if not unhit:
             continue
         rng.shuffle(unhit)
         witnesses = problem.witnesses
@@ -234,28 +232,45 @@ def test_add_keeps_an_ordered_antichain_equal_to_a_rebuild():
     for table in ("cores", "witnesses", "columns"):
         assert getattr(p, table) == getattr(rebuilt, table)
     assert min_cost_hv(p) == min_cost_hv(rebuilt) == enumerate_hitting(levels, p.cores)[1]
-    assert p.add((3, 3, 3))  # dominates every core; the search, not add, refuses it
-    assert p.cores == [(3, 3, 3)] and p.columns == [[p._none]] * 3
-    with pytest.raises(Unhittable):
-        min_cost_hv(p)
 
 
-def test_constructor_stores_cores_as_given():
-    p = _problem([(0, 1, 2)] * 2, [(1, 1), (0, 1), (1, 1)])
-    assert p.cores == [(1, 1), (0, 1), (1, 1)]
+def test_add_refuses_an_unhittable_core_and_changes_nothing():
+    # (3, 3, 3) would dominate, and so evict, every stored core
+    p = _problem([(0, 1, 2, 3)] * 3, [(1, 0, 3), (0, 2, 0)])
+    tables = {t: repr(getattr(p, t)) for t in ("cores", "witnesses", "columns")}
+    with pytest.raises(Unhittable, match=r"core \(3, 3, 3\) is at the maximum level everywhere"):
+        p.add((3, 3, 3))
+    assert {t: repr(getattr(p, t)) for t in tables} == tables
+    assert min_cost_hv(p) == (0, 1, 1)
 
 
 def test_deep_search_needs_no_recursion():
-    n = 1200
-    p = _singletons(n)
-    assert min_cost_hv(p) == (1,) * n
+    # core j is 0 at component j and at the maximum 1 elsewhere, so the only
+    # hitting vector raises every component: a search 300 raises deep, under
+    # a recursion limit 150 frames above this test's own depth
+    n = 300
+    p = _problem([(0, 1)] * n, [tuple(0 if i == j else 1 for i in range(n)) for j in range(n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        assert min_cost_hv(p) == (1,) * n
+    finally:
+        sys.setrecursionlimit(limit)
     assert p.nodes == n + 1
 
 
 def test_search_polls_deadline():
-    p = _singletons(1200, deadline=time.perf_counter() - 1.0)
+    # a sparse antichain whose minimum-cost search takes 3,610 nodes
+    rng = random.Random(3)
+    cores = []
+    for _ in range(90):
+        k = [3] * 30
+        for i in rng.sample(range(30), rng.randint(2, 4)):
+            k[i] = rng.randrange(3)
+        cores.append(tuple(k))
+    p = _problem([(0, 1, 2, 3)] * 30, cores, deadline=time.perf_counter() - 1.0)
     with pytest.raises(SolveDeadlineExceeded):
-        cost_bounded_hv(p, None)
+        min_cost_hv(p)
     assert p.nodes == 1024
 
 
@@ -280,11 +295,11 @@ def hitting_problems(draw):
 def test_min_cost_matches_enumeration_property(data):
     levels, cores = data
     expected_cost, expected_vec = enumerate_hitting(levels, cores)
-    problem = _problem(levels, cores)
     if expected_cost is None:
         with pytest.raises(Unhittable):
-            min_cost_hv(problem)
+            _problem(levels, cores)
         return
+    problem = _problem(levels, cores)
     h = min_cost_hv(problem)
     assert h == expected_vec
     g = greedy_hv(problem)

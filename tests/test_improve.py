@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.improve import improve_core
 from ihswcsp.model import CostFunction, WcspInstance, evaluate, make_cost_function
@@ -50,6 +52,13 @@ def test_maximal_on_forced_instance():
     assert core == (1,)
     assert probes == 2  # raise to 1 (unsat), raise to 2 (sat)
     assert _check_best(w, best) == 2
+
+
+def test_unknown_strategy_is_refused():
+    enc = InducedCspEncoding(_forced_instance())
+    with pytest.raises(ValueError, match="^unknown core strategy 'greedy'$"):
+        improve_core("greedy", (0,), None, enc)
+    assert enc.num_solves == 0
 
 
 def test_lazy_is_free_and_deterministic():

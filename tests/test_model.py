@@ -72,7 +72,8 @@ def test_hits_matches_domination_definition(data):
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
 def test_core_set_is_maximal_antichain(vectors):
-    cs = HittingProblem(LevelSpace([(0, 1, 2, 3)] * 2))
+    # a level above the vectors' range keeps every vector hittable
+    cs = HittingProblem(LevelSpace([(0, 1, 2, 3, 4)] * 2))
     for v in vectors:
         cs.add(v)
     stored = list(cs.cores)
@@ -84,7 +85,7 @@ def test_core_set_is_maximal_antichain(vectors):
 
 
 def test_core_set_insert_rules():
-    cs = HittingProblem(LevelSpace([(0, 1, 2)] * 2))
+    cs = HittingProblem(LevelSpace([(0, 1, 2, 3)] * 2))
     assert cs.add((1, 1))
     assert not cs.add((1, 1))  # duplicate
     assert not cs.add((0, 1))  # dominated
@@ -105,12 +106,17 @@ def test_level_space():
     for k, i, v in (((3, 4), 0, 3), ((0, 4), 0, 0), ((2, 5), 1, 5)):
         with pytest.raises(ValueError, match=rf"value {v} is not a level of component {i}"):
             HittingProblem(space).add(k)
-    assert space.above(0, 0) == 2
     assert space.above(0, 2) == 5
-    assert space.above(0, 6) == 9
+    assert space.above(0, 5) == 9
     assert space.above(0, 9) is None
-    assert space.above(1, 3) == 4
     assert space.above(1, 4) is None
+
+
+def test_above_refuses_a_value_that_is_not_a_level():
+    space = LevelSpace([(2, 5, 9), (4,)])
+    for i, v in ((0, 0), (0, 6), (0, 10), (1, 3), (1, 5)):
+        with pytest.raises(ValueError, match=rf"^value {v} is not a level of component {i}$"):
+            space.above(i, v)
 
 
 def test_evaluate_single_cell():
@@ -180,6 +186,15 @@ def test_instance_validation():
     bad_scope = make_cost_function((0, 0), 0, {(0, 0): 1}, (1, 1))
     with pytest.raises(ValueError):
         WcspInstance("bad", (1, 1), (), (bad_scope,), 10)
+    cases = [
+        (((2, 0), (f,)), "every domain must be nonempty"),
+        (((2,), (CostFunction((0,), 0, {(0,): 1}, (0, 1, 1)),)), "levels must be strictly increasing"),
+        (((2,), (CostFunction((0,), 0, {}, ()),)), "cost function without levels"),
+        (((2, 2), (CostFunction((0, 2), 0, {}, (0,)),)), "scope (0, 2) out of range for 2 variables"),
+    ]
+    for (domains, functions), message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WcspInstance("bad", domains, (), functions, 10)
 
 
 @pytest.mark.parametrize(
