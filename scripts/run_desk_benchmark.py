@@ -12,10 +12,12 @@ The family parameters are miniature versions of the uniform and scale-free
 benchmark classes (domains / weights / sparse / scale-free-2 / scale-free-3),
 sized so the whole matrix finishes in minutes on one core.  OUTDIR/instances
 must hold no .wcsp file yet: the script refuses to mix a run into an earlier
-one's instances, and deletes nothing.
+one's instances, and deletes nothing.  The timeout must be positive and
+finite, as the time-ratio table clamps timed-out runs to it.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +42,11 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
+    # the tables clamp timed-out runs to the timeout, so refuse a bad one
+    # now, not after the whole matrix has run
+    if not 0 < args.timeout < math.inf:
+        print(f"error: --timeout must be positive and finite, not {args.timeout}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     instances = out / "instances"
     # bench reads every instance in the directory, so an earlier run's

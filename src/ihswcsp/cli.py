@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import multiprocessing
 import os
 import sys
@@ -19,31 +20,7 @@ from .driver import HV_STRATEGIES, RunReport, SolverConfig, solve
 from .improve import STRATEGIES as CORE_STRATEGIES
 from .wcsp_io import GeneratorParams, gen_scale_free, gen_uniform, parse_wcsp, write_wcsp
 
-# the RunReport fields that solve prints and bench writes, in order: lb and ub
-# are final_lb and final_ub, and each *_time_ms column is *_time in milliseconds
-REPORT_COLUMNS = (
-    "status",
-    "optimum",
-    "lb",
-    "ub",
-    "iterations",
-    "hv_calls",
-    "hv_nodes",
-    "sat_calls",
-    "sat_conflicts",
-    "improve_probes",
-    "exact_fallbacks",
-    "core_set_size",
-    "components",
-    "hv_time_ms",
-    "sat_time_ms",
-    "improve_time_ms",
-    "merge_time_ms",
-    "encode_time_ms",
-    "total_time_ms",
-)
 CONFIG_COLUMNS = ("instance", "hv", "core", "merge", "disjoint")
-CSV_FIELDS = [*CONFIG_COLUMNS, *REPORT_COLUMNS, "error"]
 # the columns render_table reads; older CSVs with other columns still load
 TABLE_FIELDS = [*CONFIG_COLUMNS, "status", "core_set_size", "total_time_ms"]
 
@@ -60,11 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--hv", choices=HV_STRATEGIES, default="lb")
-    p_solve.add_argument("--core", choices=CORE_STRATEGIES, default="maximal")
-    p_solve.add_argument("--merge", type=_onoff, default=False)
-    p_solve.add_argument("--disjoint", type=_onoff, default=False)
-    p_solve.add_argument("--timeout", type=float, default=3600.0)
+    p_solve.add_argument("--hv", choices=HV_STRATEGIES, default=SolverConfig.hv)
+    p_solve.add_argument("--core", choices=CORE_STRATEGIES, default=SolverConfig.core)
+    p_solve.add_argument("--merge", type=_onoff, default=SolverConfig.merge)
+    p_solve.add_argument("--disjoint", type=_onoff, default=SolverConfig.disjoint)
+    p_solve.add_argument("--timeout", type=float, default=SolverConfig.time_limit)
     p_solve.set_defaults(run=_cmd_solve)
 
     p_gen = sub.add_parser("generate", help="generate a random instance family")
@@ -80,14 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--instance", required=True, help="a .wcsp file or a directory of them")
     p_bench.add_argument("--out", required=True, help="output CSV path")
     p_bench.add_argument("--matrix", default=None, help="e.g. hv=lb,ub;core=maximal;merge=on")
-    p_bench.add_argument("--timeout", type=float, default=3600.0)
+    p_bench.add_argument("--timeout", type=float, default=SolverConfig.time_limit)
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.set_defaults(run=_cmd_bench)
 
     p_table = sub.add_parser("table", help="render ratio tables from a bench CSV")
     p_table.add_argument("--csv", required=True)
     p_table.add_argument("--kind", choices=("time-ratio", "core-ratio", "speedup"), default="time-ratio")
-    p_table.add_argument("--timeout", type=float, default=3600.0, help="per-run limit used for clamping")
+    p_table.add_argument(
+        "--timeout", type=float, default=SolverConfig.time_limit, help="per-run limit used for clamping"
+    )
     p_table.add_argument("--timeout-mode", choices=("clamp", "exclude"), default="clamp")
     p_table.add_argument("--out", default=None, help="also write the table to this path")
     p_table.set_defaults(run=_cmd_table)
@@ -114,15 +93,28 @@ def _cmd_solve(args) -> int:
     return {"optimal": 0, "timeout": 2, "infeasible": 3}[report.status]
 
 
+# RunReport's per-run lists, which solve does not print nor bench write
+_PER_RUN_LISTS = ("bounds_trace", "final_cores", "inserted_cores", "best_assignment")
+
+
 def _report_fields(report: RunReport) -> dict[str, object]:
+    """The ``key=value`` pairs ``solve`` prints and the columns ``bench``
+    writes: every field of ``report`` but its per-run lists, in declaration
+    order.  A ``final_`` prefix drops (``final_lb`` prints as ``lb``), each
+    ``*_time`` prints as ``*_time_ms`` in milliseconds, and None as empty."""
     fields: dict[str, object] = {}
-    for column in REPORT_COLUMNS:
-        attr = {"lb": "final_lb", "ub": "final_ub"}.get(column, column.removesuffix("_ms"))
-        value = getattr(report, attr)
-        if column.endswith("_ms"):
-            value = round(value * 1000)
-        fields[column] = "" if value is None else value
+    for f in dataclasses.fields(report):
+        if f.name in _PER_RUN_LISTS:
+            continue
+        key, value = f.name.removeprefix("final_"), getattr(report, f.name)
+        if key.endswith("_time"):
+            key, value = key + "_ms", round(value * 1000)
+        fields[key] = "" if value is None else value
     return fields
+
+
+REPORT_COLUMNS = tuple(_report_fields(RunReport()))
+CSV_FIELDS = [*CONFIG_COLUMNS, *REPORT_COLUMNS, "error"]
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +369,8 @@ def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
 def _cmd_table(args) -> int:
     if not args.timeout > 0:  # NaN too, as SolverConfig refuses it
         raise ValueError(f"--timeout must be positive, not {args.timeout}")
+    if args.timeout_mode == "clamp" and math.isinf(args.timeout):  # inf / inf is nan
+        raise ValueError(f"--timeout must be finite to clamp timed-out runs, not {args.timeout}")
     with Path(args.csv).open() as fh:
         reader = csv.DictReader(fh)
         try:

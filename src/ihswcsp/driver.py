@@ -59,7 +59,9 @@ class RunReport:
     solve).  Bounds and the optimum include the instance's constant offset.
     ``final_cores`` is the run's core set at the end and ``inserted_cores``
     every improved core in the order it was added.  Every field defaults to
-    zero or empty; ``solve`` fills them all."""
+    zero or empty; ``solve`` fills them all.  ``ihswcsp solve`` prints and
+    ``ihswcsp bench`` writes every field but the per-run lists
+    (``bounds_trace``, both core lists, ``best_assignment``), in this order."""
 
     status: str = ""
     optimum: int | None = None
@@ -71,9 +73,9 @@ class RunReport:
     sat_calls: int = 0
     sat_conflicts: int = 0
     improve_probes: int = 0
+    exact_fallbacks: int = 0
     core_set_size: int = 0
     components: int = 0
-    exact_fallbacks: int = 0
     bounds_trace: list[tuple[int | None, int | None]] = field(default_factory=list)
     hv_time: float = 0.0
     sat_time: float = 0.0

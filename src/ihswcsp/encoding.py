@@ -186,26 +186,21 @@ class InducedCspEncoding:
         self.num_solves += 1
         try:
             res = self.solver.solve(assumptions, failed=core)
-        except SolveDeadlineExceeded:
-            self.solve_time += time.perf_counter() - started
-            raise
-        if res.sat:
-            # exactly one value variable of each WCSP variable is true
-            model = res.model
-            a = tuple([model.index(True, first) - first for first in self._first])
-            sv = tuple([
-                get(sum(map(mul, key(a), arg))) if type(arg) is tuple else get(key(a), arg)
-                for key, get, arg in self._tables
-            ])
-            out: Satisfiable | Unsatisfiable = Satisfiable(a, sv)
-        elif not core:
-            out = Unsatisfiable(None)
-        else:
+            if res.sat:
+                # exactly one value variable of each WCSP variable is true
+                model = res.model
+                a = tuple([model.index(True, first) - first for first in self._first])
+                sv = tuple([
+                    get(sum(map(mul, key(a), arg))) if type(arg) is tuple else get(key(a), arg)
+                    for key, get, arg in self._tables
+                ])
+                return Satisfiable(a, sv)
+            if not core:
+                return Unsatisfiable(None)
             failed = set(res.failed)
             maximum = self.space.maximum
-            lazy = tuple(
+            return Unsatisfiable(tuple(
                 v[i] if lit in failed else maximum[i] for i, lit in enumerate(assumptions)
-            )
-            out = Unsatisfiable(lazy)
-        self.solve_time += time.perf_counter() - started
-        return out
+            ))
+        finally:
+            self.solve_time += time.perf_counter() - started

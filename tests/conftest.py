@@ -6,12 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ihswcsp.driver import SolverConfig, solve
+from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
 from ihswcsp.hitting import HittingProblem
+from ihswcsp.improve import STRATEGIES
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
-
-HV_ALL = ("lb", "ub", "grd-lb", "grd-ub")
-CORE_ALL = ("lazy", "cost-bounded", "partial-max", "maximal")
 
 
 def grown(space, cores, deadline=None) -> HittingProblem:
@@ -79,8 +77,8 @@ def suite1_runs(suite1):
     """Every instance solved by the full 4 x 4 x 2 configuration matrix."""
     runs = {}
     for name, inst in suite1:
-        for hv in HV_ALL:
-            for core in CORE_ALL:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 for merge in (False, True):
                     cfg = SolverConfig(hv=hv, core=core, merge=merge)
                     runs[(name, hv, core, merge)] = solve(inst, cfg)

@@ -9,12 +9,13 @@ import itertools
 import random
 from collections import defaultdict
 
-from conftest import CORE_ALL, HV_ALL, grown
+from conftest import grown
 
 from ihswcsp.cli import main as cli_main
-from ihswcsp.driver import SolverConfig, solve
+from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
 from ihswcsp.encoding import InducedCspEncoding, Satisfiable, Unsatisfiable
 from ihswcsp.hitting import LevelSpace, cost_bounded_hv, greedy_hv, min_cost_hv
+from ihswcsp.improve import STRATEGIES
 from ihswcsp.merge import build_merged
 from ihswcsp.model import evaluate
 from ihswcsp.sat import Solver
@@ -48,8 +49,8 @@ def test_criterion_01_whole_solver_oracle_equivalence(suite1, suite1_oracle, sui
     assert len(suite1) >= 200
     for name, _ in suite1:
         expected = suite1_oracle[name]
-        for hv in HV_ALL:
-            for core in CORE_ALL:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 for merge in (False, True):
                     report = suite1_runs[(name, hv, core, merge)]
                     if report.status != "optimal" or report.optimum != expected:
@@ -134,8 +135,8 @@ def test_criterion_05_bound_invariants(suite1, suite1_oracle, suite1_runs):
     failures = []
     for name, inst in suite1:
         w_star = suite1_oracle[name]
-        for hv in HV_ALL:
-            for core in CORE_ALL:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 for merge in (False, True):
                     report = suite1_runs[(name, hv, core, merge)]
                     trace = report.bounds_trace
@@ -167,8 +168,8 @@ def test_criterion_06_core_validity_and_maximality(suite1, suite1_runs):
             audit = InducedCspEncoding(view)
             inserted = set()
             maximal_cores = set()
-            for hv in HV_ALL:
-                for core in CORE_ALL:
+            for hv in HV_STRATEGIES:
+                for core in STRATEGIES:
                     report = suite1_runs[(name, hv, core, merge)]
                     inserted.update(report.inserted_cores)
                     if core == "maximal":
@@ -190,8 +191,8 @@ def test_criterion_06_core_validity_and_maximality(suite1, suite1_runs):
 def test_criterion_07_merge_preservation(suite1, suite1_runs):
     failures = []
     for name, inst in suite1:
-        for hv in HV_ALL:
-            for core in CORE_ALL:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 on = suite1_runs[(name, hv, core, True)]
                 off = suite1_runs[(name, hv, core, False)]
                 if on.optimum != off.optimum:
@@ -208,13 +209,13 @@ def test_criterion_08_core_set_size_direction(suite1, suite1_runs):
         for name, _ in suite1
         if all(
             suite1_runs[(name, hv, core, merge)].status == "optimal"
-            for hv in HV_ALL
-            for core in CORE_ALL
+            for hv in HV_STRATEGIES
+            for core in STRATEGIES
             for merge in (False, True)
         )
     ]
     assert len(solved) >= 100
-    for hv in HV_ALL:
+    for hv in HV_STRATEGIES:
         sizes = defaultdict(list)
         for name in solved:
             for merge in (False, True):
@@ -230,8 +231,8 @@ def test_criterion_08_core_set_size_direction(suite1, suite1_runs):
 def test_criterion_09_determinism(suite1, suite1_runs):
     failures = []
     for name, inst in suite1[:20]:
-        for hv in HV_ALL:
-            for core in CORE_ALL:
+        for hv in HV_STRATEGIES:
+            for core in STRATEGIES:
                 for merge in (False, True):
                     first = suite1_runs[(name, hv, core, merge)]
                     again = solve(inst, SolverConfig(hv=hv, core=core, merge=merge))

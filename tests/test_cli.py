@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import errno
 import os
 
 import pytest
 
-from ihswcsp.cli import TABLE_FIELDS, main, parse_matrix, render_table
-from ihswcsp.driver import SolverConfig
+from ihswcsp.cli import REPORT_COLUMNS, TABLE_FIELDS, _report_fields, main, parse_matrix, render_table
+from ihswcsp.driver import RunReport, SolverConfig
 from ihswcsp.wcsp_io import write_wcsp
 
 TOY = "toy 1 1 1 10\n1\n1 0 0 1\n0 2\n"  # single cell costing 2
@@ -199,6 +200,19 @@ def test_report_columns_are_pinned(toy_path, tmp_path, capsys):
     assert main(["solve", "--instance", str(toy_path)]) == 0
     keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
     assert keys == PINNED_CSV_HEADER.split(",")[5:-1]
+
+
+def test_report_fields_follow_run_report_declarations():
+    # a counter or time declared in RunReport reaches solve and bench with no
+    # other edit: after the base fields, in order, each time in milliseconds
+    @dataclasses.dataclass
+    class Extended(RunReport):
+        decisions: int = 0
+        parse_time: float = 0.0
+
+    fields = _report_fields(Extended(decisions=7, parse_time=0.25))
+    assert list(fields) == [*REPORT_COLUMNS, "decisions", "parse_time_ms"]
+    assert (fields["decisions"], fields["parse_time_ms"]) == (7, 250)
 
 
 def test_bench_and_table_pipeline(tmp_path, capsys):
@@ -482,6 +496,19 @@ def test_table_refuses_an_oversized_header_and_a_bad_timeout(tmp_path, capsys):
         assert (captured.out, captured.err) == ("", f"error: --timeout must be positive, not {float(value)}\n")
 
 
+def test_table_clamps_only_to_a_finite_timeout(tmp_path, capsys):
+    # clamping timed-out runs to inf would make every time ratio inf / inf
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(TABLE_FIELDS) + "\nfam_0,lb,maximal,off,off,timeout,4,\nfam_0,ub,maximal,off,off,timeout,4,\n")
+    for kind in ("time-ratio", "speedup"):
+        assert main(["table", "--csv", str(path), "--kind", kind, "--timeout", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --timeout must be finite to clamp timed-out runs, not inf\n")
+    # excluding drops the timed-out runs, so no limit is needed
+    assert main(["table", "--csv", str(path), "--timeout", "inf", "--timeout-mode", "exclude"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_table_reads_csv_of_older_schema(tmp_path, capsys):
     # older bench CSVs carry a seed column and lack the counter and error columns
     rows = [
@@ -558,18 +585,24 @@ def test_render_table_golden_text():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, mode, text)
 
 
-def test_soak_reports_a_crash_with_its_instance(monkeypatch, capsys):
-    # an exception inside one solve ends the brute-force soak with the trial,
-    # the configuration, the exception and an instance text that replays it
+def _script(name):
+    """The module of ``scripts/<name>.py``."""
     import importlib.util
     from pathlib import Path
 
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_soak_reports_a_crash_with_its_instance(monkeypatch, capsys):
+    # an exception inside one solve ends the brute-force soak with the trial,
+    # the configuration, the exception and an instance text that replays it
     from ihswcsp.wcsp_io import parse_wcsp
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_against_bruteforce.py"
-    spec = importlib.util.spec_from_file_location("verify_against_bruteforce", path)
-    soak = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(soak)
+    soak = _script("verify_against_bruteforce")
     real = soak.solve
 
     def crash(instance, cfg):
@@ -588,13 +621,7 @@ def test_soak_reports_a_crash_with_its_instance(monkeypatch, capsys):
 def test_desk_benchmark_refuses_an_out_with_instances(tmp_path, capsys):
     # a second run into the same --out would bench the first run's instances
     # too; the script stops before generating anything and deletes nothing
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_benchmark.py"
-    spec = importlib.util.spec_from_file_location("run_desk_benchmark", path)
-    desk = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(desk)
+    desk = _script("run_desk_benchmark")
     instances = tmp_path / "instances"
     instances.mkdir()
     stray = instances / "stray.wcsp"
@@ -604,3 +631,14 @@ def test_desk_benchmark_refuses_an_out_with_instances(tmp_path, capsys):
     assert not (tmp_path / "rows.csv").exists()
     assert stray.read_text() == TOY
     assert [p.name for p in instances.iterdir()] == ["stray.wcsp"]
+
+
+def test_desk_benchmark_refuses_a_timeout_it_cannot_clamp_to(tmp_path, capsys):
+    # the tables clamp timed-out runs to --timeout, which must be positive and
+    # finite; the script stops before generating anything
+    desk = _script("run_desk_benchmark")
+    for value in ("0", "-1", "nan", "inf"):
+        assert desk.run(["--out", str(tmp_path), "--count", "1", "--timeout", value]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --timeout must be positive and finite, not {float(value)}\n")
+        assert list(tmp_path.iterdir()) == []
