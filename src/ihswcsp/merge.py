@@ -1,5 +1,9 @@
 """Cost-function merging guided by a min-fill tree decomposition.
 
+The decomposition eliminates the vertex of fewest fill edges first, keeping
+every vertex's fill count exact as edges come and go, so an elimination pays
+per fill edge it adds.
+
 Functions whose scopes land in the same decomposition cluster are merged into
 a single cost function over the union scope, shrinking the dimension of the
 cost-vector space while preserving the optimum.  The merged table is the
@@ -40,20 +44,21 @@ def min_fill_order(
     elimination time).  ``deadline`` (a ``time.perf_counter()`` reading or
     None) is polled before each elimination.
 
-    Fill counts are kept in a heap.  An elimination changes the neighborhood
-    of its neighbors only, and the edges among the common neighbors of each
-    fill edge's ends, so only those counts are recomputed."""
+    Fill counts sit in a heap and are kept exact per change, never
+    recomputed.  Adding fill edge (a, b) lowers the count of each common
+    neighbor of a and b by one, and raises a's by |N(a) - N(b)| and b's by
+    |N(b) - N(a)|, both taken before the edge is added.  Removing v, whose
+    neighborhood is then a clique, lowers each neighbor a's count by
+    |N(a) - N(v)|, taken after v leaves N(a).  An elimination thus costs one
+    set intersection per fill edge it adds, not a pass over the neighbor
+    pairs of every vertex it touches."""
     adj: list[set[int]] = [set() for _ in range(num_vertices)]
     for u, v in edges:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
 
-    def fill2(v: int) -> int:  # twice the fill: a missing edge is seen from both ends
-        nb = adj[v]
-        return sum(len(nb - adj[a]) for a in nb) - len(nb)
-
-    fill = [fill2(v) for v in range(num_vertices)]
+    fill = [(sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2 for nb in adj]
     heap = [(f, v) for v, f in enumerate(fill)]
     heapify(heap)
     order: list[int] = []
@@ -67,18 +72,24 @@ def min_fill_order(
         nb = adj[v]
         order.append(v)
         clusters.append(tuple(sorted([v, *nb])))
-        touched = set(nb)
+        before = {a: fill[a] for a in nb}  # old counts of the vertices it changes
         for a in nb:
-            new = nb - adj[a] - {a}  # the fill edges at a
-            adj[a] |= new
+            for b in nb - adj[a] - {a}:  # fill edge (a, b)
+                common = adj[a] & adj[b]
+                fill[a] += len(adj[a]) - len(common)
+                fill[b] += len(adj[b]) - len(common)
+                common.discard(v)  # eliminated: v keeps no count
+                for c in common:
+                    before.setdefault(c, fill[c])
+                    fill[c] -= 1
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nb:
             adj[a].discard(v)
-            for b in new:
-                touched |= adj[a] & adj[b]
-        for u in touched:
-            f = fill2(u)
-            if f != fill[u]:
-                fill[u] = f
-                heappush(heap, (f, u))
+            fill[a] -= len(adj[a]) - len(nb) + 1  # N(a) holds all of N(v) but a
+        for u, f in before.items():
+            if fill[u] != f:
+                heappush(heap, (fill[u], u))
     return order, clusters
 
 

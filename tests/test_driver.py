@@ -342,12 +342,12 @@ def test_deadline_interrupts_the_encoding_build():
 def test_a_run_stopped_in_set_up_reports_what_it_did():
     # an encoding stopped by the deadline (the instance above), merging off
     # and on, then a merge stopped by it: min-fill alone on this graph takes
-    # seconds, and the run keeps the instance's 1500 functions
+    # seconds, and the run keeps the instance's 5000 functions
     domains = (16,) * 16
     tables = [make_cost_function((x, x + 1, x + 2, x + 3), 1, {(0,) * 4: 0}, domains) for x in (0, 4, 8, 12)]
     dense = WcspInstance("dense", domains, (), tuple(tables), 10, 3)
-    wide = gen_uniform(GeneratorParams(300, 2, 1500, 2, 2, seed=1))
-    for w, merge, limit in ((dense, False, 0.05), (dense, True, 0.05), (wide, True, 1.0)):
+    wide = gen_uniform(GeneratorParams(1000, 2, 5000, 2, 2, seed=1))
+    for w, merge, limit in ((dense, False, 0.05), (dense, True, 0.05), (wide, True, 0.5)):
         started = time.perf_counter()
         report = dataclasses.asdict(solve(w, SolverConfig(merge=merge, time_limit=limit)))
         assert time.perf_counter() - started < limit + (1.5 if w is wide else 0.2)

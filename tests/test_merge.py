@@ -71,14 +71,46 @@ def test_merging_polls_its_deadline(monkeypatch):
 
 def test_min_fill_matches_quadratic_reference():
     rng = random.Random(22)
+    graphs = []
     for _ in range(300):
-        n = rng.randint(0, 24)
-        density = rng.random() * 0.6
+        n = rng.randint(0, 40)
+        density = rng.random()
         # u == v gives self-loops; low densities give empty and path-like graphs
         edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < density]
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
         rng.shuffle(edges)
+        graphs.append((n, edges))
+    # complete graphs tie at zero fill throughout; cycles, a grid and cliques
+    # joined by paths tie on many vertices at once
+    graphs += [(n, [(u, v) for u in range(n) for v in range(u + 1, n)]) for n in (1, 2, 5, 17, 40)]
+    graphs += [(n, [(v, (v + 1) % n) for v in range(n)]) for n in (3, 4, 9, 32)]
+    grid = [(v, v + 1) for v in range(36) if v % 6 < 5] + [(v, v + 6) for v in range(30)]
+    graphs.append((36, grid))
+    cliques = [(u + k, v + k) for k in (0, 10, 20) for u in range(8) for v in range(u + 1, 8)]
+    graphs.append((30, cliques + [(7, 8), (8, 9), (9, 10), (17, 18), (18, 19), (19, 20)]))
+    # the scope graphs of ingest's families, scaled down to 30-60 variables
+    for seed in (1, 2, 3):
+        for w in (
+            gen_uniform(GeneratorParams(30, 6, 60, 6, 12, seed)),
+            gen_uniform(GeneratorParams(60, 6, 120, 6, 12, seed)),
+            gen_uniform(GeneratorParams(60, 8, 120, 8, 24, seed)),
+            gen_scale_free(GeneratorParams(50, 5, 2, 6, 10, seed)),
+            gen_scale_free(GeneratorParams(40, 3, 4, 3, 6, seed)),
+        ):
+            graphs.append((w.num_vars, _scope_edges(w)))
+    for n, edges in graphs:
         assert min_fill_order(n, edges) == min_fill_order_slow(n, edges)
+
+
+def test_min_fill_polls_its_deadline_once_per_elimination(monkeypatch):
+    import ihswcsp.merge as merge
+
+    polls = []
+    monkeypatch.setattr(merge, "_poll", polls.append)
+    w = gen_uniform(GeneratorParams(40, 3, 80, 2, 3, seed=4))
+    order, _ = min_fill_order(w.num_vars, _scope_edges(w), 123.0)
+    assert len(order) == w.num_vars
+    assert polls == [123.0] * w.num_vars
 
 
 def _scope_edges(w):
