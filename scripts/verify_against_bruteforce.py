@@ -21,8 +21,8 @@ import random
 import sys
 import traceback
 
-from ihswcsp.driver import HV_STRATEGIES, SolverConfig, solve
-from ihswcsp.improve import STRATEGIES
+from ihswcsp.cli import AXES, parse_matrix
+from ihswcsp.driver import solve
 from ihswcsp.wcsp_io import (
     GeneratorParams,
     brute_force_optimum,
@@ -58,6 +58,10 @@ def failed(line: str, instance_text: str) -> int:
     return 1
 
 
+# every hv and core strategy, merging off and on, the disjoint phase off and on
+CONFIGS = parse_matrix("merge=off,on;disjoint=off,on")
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=50)
@@ -86,11 +90,9 @@ def run(argv=None) -> int:
         configs = 0
         try:
             expected = brute_force_optimum(inst)
-            for hv, core, merge, disjoint in itertools.product(
-                HV_STRATEGIES, STRATEGIES, (False, True), (False, True)
-            ):
-                config = f"hv={hv} core={core} merge={merge} disjoint={disjoint}"
-                report = solve(inst, SolverConfig(hv=hv, core=core, merge=merge, disjoint=disjoint))
+            for cfg in CONFIGS:
+                config = " ".join(f"{a}={getattr(cfg, a)}" for a in AXES)
+                report = solve(inst, cfg)
                 if report.optimum != expected:
                     return failed(f"MISMATCH trial={trial} {config}: got {report.optimum}, "
                                   f"expected {expected}", replay)

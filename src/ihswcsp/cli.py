@@ -3,6 +3,8 @@ families, run configuration matrices under timeouts, and render ratio tables.
 
 Exit codes for ``solve``: 0 optimal, 2 timeout, 3 infeasible, 1 error.
 Every command refuses a bad option or a file error with ``error: …``, exit 1.
+Every command reads a configuration's axes off ``AXES``, in ``SolverConfig``'s
+field order; a new ``SolverConfig`` field needs an entry there, as a test checks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -20,13 +23,17 @@ from .driver import HV_STRATEGIES, RunReport, SolverConfig, solve
 from .improve import STRATEGIES as CORE_STRATEGIES
 from .wcsp_io import GeneratorParams, gen_scale_free, gen_uniform, parse_wcsp, write_wcsp
 
-CONFIG_COLUMNS = ("instance", "hv", "core", "merge", "disjoint")
+ONOFF = ("on", "off")
+# each configuration axis and the values the CLI names it by
+AXES = {"hv": HV_STRATEGIES, "core": CORE_STRATEGIES, "merge": ONOFF, "disjoint": ONOFF}
+FLAGS = tuple(a for a, values in AXES.items() if values is ONOFF)
+CONFIG_COLUMNS = ("instance", *AXES)
 # the columns render_table reads; older CSVs with other columns still load
 TABLE_FIELDS = [*CONFIG_COLUMNS, "status", "core_set_size", "total_time_ms"]
 
 
 def _onoff(value: str) -> bool:
-    if value not in ("on", "off"):
+    if value not in ONOFF:
         raise argparse.ArgumentTypeError("expected 'on' or 'off'")
     return value == "on"
 
@@ -37,10 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--hv", choices=HV_STRATEGIES, default=SolverConfig.hv)
-    p_solve.add_argument("--core", choices=CORE_STRATEGIES, default=SolverConfig.core)
-    p_solve.add_argument("--merge", type=_onoff, default=SolverConfig.merge)
-    p_solve.add_argument("--disjoint", type=_onoff, default=SolverConfig.disjoint)
+    for axis, values in AXES.items():
+        kind = {"type": _onoff} if axis in FLAGS else {"choices": values}
+        p_solve.add_argument(f"--{axis}", **kind, default=getattr(SolverConfig, axis))
     p_solve.add_argument("--timeout", type=float, default=SolverConfig.time_limit)
     p_solve.set_defaults(run=_cmd_solve)
 
@@ -80,10 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     try:
         instance = parse_wcsp(Path(args.instance).read_text())
-        cfg = SolverConfig(
-            hv=args.hv, core=args.core, merge=args.merge, disjoint=args.disjoint,
-            time_limit=args.timeout,
-        )
+        cfg = SolverConfig(**{a: getattr(args, a) for a in AXES}, time_limit=args.timeout)
         report = solve(instance, cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -148,15 +151,18 @@ def _cmd_generate(args) -> int:
 # bench
 
 
+def _config_row(cfg: SolverConfig) -> dict[str, str]:
+    """``cfg``'s configuration columns, each value as the CLI names it."""
+    row = {a: getattr(cfg, a) for a in AXES}
+    return {a: ("on" if v else "off") if a in FLAGS else v for a, v in row.items()}
+
+
 def parse_matrix(spec: str | None, time_limit: float = SolverConfig.time_limit) -> list[SolverConfig]:
-    """The configurations of a ``--matrix`` spec (default: all 32 with
-    disjoint off), each with the given ``time_limit``."""
-    dims: dict[str, list[str]] = {
-        "hv": list(HV_STRATEGIES),
-        "core": list(CORE_STRATEGIES),
-        "merge": ["on", "off"],
-        "disjoint": ["off"],
-    }
+    """The configurations of a ``--matrix`` spec, each with ``time_limit``.
+    An axis the spec leaves out takes all its values if it is hv, core or
+    merge, else its ``SolverConfig`` default: by default, the paper's 32."""
+    default = _config_row(SolverConfig())
+    dims = {a: list(v) if a in ("hv", "core", "merge") else [default[a]] for a, v in AXES.items()}
     if spec:
         named: set[str] = set()
         for part in spec.split(";"):
@@ -174,28 +180,19 @@ def parse_matrix(spec: str | None, time_limit: float = SolverConfig.time_limit) 
                 raise ValueError(f"matrix dimension {key!r} has no value")
             if len(set(dims[key])) < len(dims[key]):
                 raise ValueError(f"matrix dimension {key!r} repeats a value")
-    for key in ("merge", "disjoint"):
+    for key in FLAGS:
         for v in dims[key]:
-            if v not in ("on", "off"):
+            if v not in ONOFF:
                 raise ValueError(f"{key} must be on or off, got {v!r}")
     return [
-        SolverConfig(hv=hv, core=core, merge=merge == "on", disjoint=disjoint == "on", time_limit=time_limit)
-        for hv in dims["hv"]
-        for core in dims["core"]
-        for merge in dims["merge"]
-        for disjoint in dims["disjoint"]
+        SolverConfig(**{a: v == "on" if a in FLAGS else v for a, v in zip(AXES, config)}, time_limit=time_limit)
+        for config in itertools.product(*dims.values())
     ]
 
 
 def _bench_one(task: tuple[str, SolverConfig]) -> dict[str, object]:
     path, cfg = task
-    row: dict[str, object] = {
-        "instance": Path(path).stem,
-        "hv": cfg.hv,
-        "core": cfg.core,
-        "merge": "on" if cfg.merge else "off",
-        "disjoint": "on" if cfg.disjoint else "off",
-    }
+    row: dict[str, object] = {"instance": Path(path).stem, **_config_row(cfg)}
     try:
         report = solve(parse_wcsp(Path(path).read_text()), cfg)
     except Exception as exc:  # noqa: BLE001 - a failed run must not abort the batch
@@ -229,7 +226,7 @@ def _cmd_bench(args) -> int:
             rows = pool.map(_bench_one, tasks)
     else:
         rows = [_bench_one(t) for t in tasks]
-    rows.sort(key=lambda r: (r["instance"], r["hv"], r["core"], r["merge"], r["disjoint"]))
+    rows.sort(key=lambda r: [r[c] for c in CONFIG_COLUMNS])
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
         writer.writeheader()
@@ -246,27 +243,18 @@ def _benchmark_of(instance: str) -> str:
     return instance.rpartition("_")[0] or instance
 
 
-def _config_label(core: str, merge: str, disjoint: str) -> str:
-    label = core
-    if merge == "on":
-        label += "+merge"
-    if disjoint == "on":
-        label += "+disjoint"
-    return label
-
-
 def _config_stats(
     rows: list[dict[str, str]], kind: str, timeout: float, timeout_mode: str
-) -> dict[tuple[str, str, str, str], tuple[float | None, int]]:
-    """Each (hv, core, merge, disjoint) configuration's (mean, unsolved) over
-    one benchmark's rows, in one pass.  core-ratio averages the recorded
-    core-set sizes; the other kinds average the solved runs' times plus, under
-    clamp, ``timeout`` seconds per timed-out run.  The mean is None when no
-    run counts."""
-    values: dict[tuple[str, str, str, str], list[float]] = {}
-    unsolved: dict[tuple[str, str, str, str], int] = {}
+) -> dict[tuple[str, ...], tuple[float | None, int]]:
+    """Each configuration's (mean, unsolved) over one benchmark's rows, in
+    one pass, keyed by its values in ``AXES`` order.  core-ratio averages the
+    recorded core-set sizes; the other kinds average the solved runs' times
+    plus, under clamp, ``timeout`` seconds per timed-out run.  The mean is
+    None when no run counts."""
+    values: dict[tuple[str, ...], list[float]] = {}
+    unsolved: dict[tuple[str, ...], int] = {}
     for row in rows:
-        cfg = (row["hv"], row["core"], row["merge"], row["disjoint"])
+        cfg = tuple(row[a] for a in AXES)
         cfg_values = values.setdefault(cfg, [])
         solved = row["status"] == "optimal"
         unsolved[cfg] = unsolved.get(cfg, 0) + (not solved)
@@ -311,7 +299,8 @@ def render_table(
         out.append(f"# benchmark: {bench}  kind={kind}  timeout-mode={timeout_mode}")
         if kind == "speedup":
             best: dict[str, float] = {}
-            for (_, _, merge, _), (mean, _) in stats.items():
+            for cfg, (mean, _) in stats.items():
+                merge = dict(zip(AXES, cfg))["merge"]
                 if mean is not None:
                     best[merge] = min(mean, best.get(merge, mean))
             if "on" in best and "off" in best:
@@ -325,10 +314,12 @@ def render_table(
         hvs = sorted({cfg[0] for cfg in stats}, key=HV_STRATEGIES.index)
         header = ["config".ljust(24)] + [hv.rjust(14) for hv in hvs]
         out.append(" ".join(header))
-        for core, merge, disjoint in sorted({cfg[1:] for cfg in stats}):
-            cells = [_config_label(core, merge, disjoint).ljust(24)]
+        for rest in sorted({cfg[1:] for cfg in stats}):  # a row per configuration but its hv
+            named = dict(zip(list(AXES)[1:], rest))
+            label = named["core"] + "".join(f"+{a}" for a in FLAGS if named[a] == "on")
+            cells = [label.ljust(24)]
             for hv in hvs:
-                mean, unsolved = stats.get((hv, core, merge, disjoint), (None, None))
+                mean, unsolved = stats.get((hv, *rest), (None, None))
                 if unsolved is None:
                     cell = "-"
                 elif mean is None:
@@ -343,17 +334,17 @@ def render_table(
 
 def _table_rows(reader: csv.DictReader) -> list[dict[str, str]]:
     """The rows of a bench CSV.  A row that ends before a column
-    ``render_table`` reads, whose ``hv`` is not a strategy, or whose
-    core-set size or time is neither empty nor a number (a solved run's time
-    may not be empty), raises a ``ValueError`` naming its line."""
+    ``render_table`` reads, whose value on an axis is not one of ``AXES``'s,
+    or whose core-set size or time is neither empty nor a number (a solved
+    run's time may not be empty), raises a ``ValueError`` naming its line."""
     rows = []
     for row in reader:
         for column in TABLE_FIELDS:
             if row[column] is None:
                 raise ValueError(f"line {reader.line_num}: the row ends before its {column} column")
-        if row["hv"] not in HV_STRATEGIES:
-            hvs = ", ".join(HV_STRATEGIES)
-            raise ValueError(f"line {reader.line_num}: hv {row['hv']!r} is not one of {hvs}")
+        for axis, values in AXES.items():
+            if row[axis] not in values:
+                raise ValueError(f"line {reader.line_num}: {axis} {row[axis]!r} is not one of {', '.join(values)}")
         for column in ("core_set_size", "total_time_ms"):
             value = row[column]
             if value == "" and (column == "core_set_size" or row["status"] != "optimal"):

@@ -28,6 +28,10 @@ HV_STRATEGIES = ("lb", "ub", "grd-lb", "grd-ub")
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One run's configuration.  Every field but ``time_limit`` is an axis of
+    ``cli.AXES``, in this order: a new field needs an entry there too, and a
+    test fails until it has one."""
+
     hv: str = "lb"
     core: str = "maximal"
     merge: bool = False

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here enumerates by brute force and stays deliberately separate
-from the implementation paths it checks.
+from the implementation paths it checks, except ``certify``, which rebuilds
+an encoding and a hitting problem to check a run too large to enumerate.
 """
 
 from __future__ import annotations
@@ -343,3 +344,28 @@ def merged_groups_slow(w: WcspInstance) -> list[tuple[int, ...]]:
         else:
             groups.append(tuple(group))
     return sorted(groups)
+
+
+def certify(instance: WcspInstance, cfg, report) -> None:
+    """Check an optimal run's certificate, its ``best_assignment`` and
+    ``final_cores``, without trusting the run's own state: the assignment is
+    feasible and costs the optimum; every final core is unsatisfiable on a
+    fresh encoding of the run's view (the merged view when merging); and the
+    minimum-cost vector hitting the final cores costs the optimum.  No
+    hitting vector can cost more, since the optimal assignment's solution
+    vector hits every core, so the last check is an equality in every mode.
+    Raises ``AssertionError`` naming the check that fails."""
+    from ihswcsp.encoding import InducedCspEncoding, Unsatisfiable
+    from ihswcsp.hitting import HittingProblem, min_cost_hv
+    from ihswcsp.merge import build_merged
+
+    feasible, _, cost = evaluate(instance, report.best_assignment)
+    assert feasible and cost + instance.constant_offset == report.optimum, "assignment"
+    view = build_merged(instance).view if cfg.merge else instance
+    enc = InducedCspEncoding(view)
+    problem = HittingProblem(enc.space)
+    for core in report.final_cores:
+        assert isinstance(enc.solve_induced(core, core=False), Unsatisfiable), f"core {core} is satisfiable"
+        problem.add(core)
+    lb = sum(min_cost_hv(problem)) + view.constant_offset
+    assert lb == report.optimum, f"the final cores prove {lb}, not {report.optimum}"

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from ihswcsp.cli import REPORT_COLUMNS, TABLE_FIELDS, _report_fields, main, parse_matrix, render_table
-from ihswcsp.driver import RunReport, SolverConfig
+from ihswcsp.cli import AXES, REPORT_COLUMNS, TABLE_FIELDS, _report_fields, main, parse_matrix, render_table
+from ihswcsp.driver import HV_STRATEGIES, RunReport, SolverConfig
+from ihswcsp.improve import STRATEGIES
 from ihswcsp.wcsp_io import write_wcsp
 
 TOY = "toy 1 1 1 10\n1\n1 0 0 1\n0 2\n"  # single cell costing 2
@@ -181,6 +182,22 @@ def test_parse_matrix_full_and_restricted():
         parse_matrix("hv=lb,lb")
     with pytest.raises(ValueError):
         parse_matrix("hv=lb;hv=ub")
+
+
+def test_axes_are_solver_config_fields_but_the_time_limit_in_order():
+    # a SolverConfig field added without an AXES entry fails here
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert list(AXES) == [name for name in fields if name != "time_limit"]
+
+
+def test_parse_matrix_default_is_the_papers_32_in_order():
+    papers = [
+        SolverConfig(hv=hv, core=core, merge=merge, disjoint=False)
+        for hv in HV_STRATEGIES
+        for core in STRATEGIES
+        for merge in (True, False)
+    ]
+    assert parse_matrix(None) == papers
 
 
 # the bench CSV header and the keys solve prints, in order, as released
@@ -467,6 +484,12 @@ def test_table_refuses_a_bad_row_naming_its_line(tmp_path, capsys):
         (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,\n", "error: line 3: total_time_ms '' is not a number\n"),
         (f"{good}\nfam_0,xx,maximal,off,off,optimal,4,12\n",
          "error: line 3: hv 'xx' is not one of lb, ub, grd-lb, grd-ub\n"),
+        (f"{good}\nfam_0,ub,warp,off,off,optimal,4,12\n",
+         "error: line 3: core 'warp' is not one of lazy, cost-bounded, partial-max, maximal\n"),
+        (f"{good}\nfam_0,ub,maximal,yes,off,optimal,4,12\n",
+         "error: line 3: merge 'yes' is not one of on, off\n"),
+        (f"{good}\nfam_0,ub,maximal,off,ON,optimal,4,12\n",
+         "error: line 3: disjoint 'ON' is not one of on, off\n"),
         # a field over the csv module's 131072-character limit
         (f"{good}\nfam_0,ub,maximal,off,off,optimal,4,{'1' * 200_000}\n",
          "error: line 3: field larger than field limit (131072)\n"),

@@ -20,7 +20,7 @@ from ihswcsp.model import (
     make_cost_function,
 )
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
-from oracles import dominates, random_tiny_instance, three_colouring
+from oracles import certify, dominates, random_tiny_instance, three_colouring
 
 ALL_HV = ("lb", "ub", "grd-lb", "grd-ub")
 ALL_CORE = ("lazy", "cost-bounded", "partial-max", "maximal")
@@ -144,6 +144,32 @@ def test_lb_terminal_core_set_proves_optimum():
             space = LevelSpace.from_instance(w)
             proof = min_cost_hv(grown(space, report.final_cores))
             assert sum(proof) + w.constant_offset == report.optimum
+
+
+# instances past brute force's reach (3**20 and 3**18 assignments), their
+# optima, and the configurations certified on each
+CERTIFIED_RUNS = [
+    (GeneratorParams(20, 3, 2, 3, 6, seed=2), 50, [
+        SolverConfig(hv="lb", core="maximal", merge=True),
+        SolverConfig(hv="lb", core="maximal", merge=True, disjoint=True),
+        SolverConfig(hv="ub", core="maximal", merge=True),
+        SolverConfig(hv="grd-lb", core="partial-max", merge=True),
+        SolverConfig(hv="lb", core="maximal"),
+    ]),
+    (GeneratorParams(18, 3, 2, 3, 6, seed=1), 94, [
+        SolverConfig(hv="lb", core="maximal", merge=True, disjoint=True),
+        SolverConfig(hv="ub", core="maximal", merge=True),
+    ]),
+]
+
+
+@pytest.mark.parametrize("params, optimum, configs", CERTIFIED_RUNS)
+def test_runs_past_brute_force_carry_a_certificate(params, optimum, configs):
+    instance = gen_scale_free(params)
+    for cfg in configs:
+        report = solve(instance, cfg)
+        assert (report.status, report.optimum) == ("optimal", optimum), cfg
+        certify(instance, cfg, report)
 
 
 def test_run_grows_one_problem_that_equals_a_rebuild(monkeypatch):
