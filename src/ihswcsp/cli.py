@@ -39,13 +39,14 @@ def _onoff(value: str) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ihswcsp", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ihswcsp", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
+    solve_doc = "Solve one instance.  Exit codes: 0 optimal, 2 timeout, 3 infeasible, 1 error."
+    p_solve = sub.add_parser("solve", help="solve one instance", description=solve_doc)
     p_solve.add_argument("--instance", required=True)
     for axis, values in AXES.items():
-        kind = {"type": _onoff} if axis in FLAGS else {"choices": values}
+        kind = {"type": _onoff, "metavar": "{on,off}"} if axis in FLAGS else {"choices": values}
         p_solve.add_argument(f"--{axis}", **kind, default=getattr(SolverConfig, axis))
     p_solve.add_argument("--timeout", type=float, default=SolverConfig.time_limit)
     p_solve.set_defaults(run=_cmd_solve)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import inf
 
 from .encoding import InducedCspEncoding, Satisfiable, SolveDeadlineExceeded, Unsatisfiable
 from .hitting import HittingProblem, cost_bounded_hv, greedy_hv, min_cost_hv
@@ -104,9 +105,9 @@ class _Run:
         self.enc: InducedCspEncoding | None = None  # built by set_up(); each
         self.problem: HittingProblem | None = None  # stays None if set-up times out
         self.lb = 0
-        self.ub: int | None = None
+        self.ub: float = inf  # the incumbent's cost, inf until one exists
         self.best_assignment: Assignment | None = None
-        self.trace: list[tuple[int | None, int | None]] = []
+        self.trace: list[tuple[int, float]] = []
         self.stats = RunReport()
 
     def set_up(self) -> None:
@@ -135,7 +136,7 @@ class _Run:
         exact = "min" if self.cfg.hv.endswith("lb") else "bounded"
         greedy = self.cfg.hv.startswith("grd-")
         fallback = False
-        while self.ub is None or self.lb < self.ub:
+        while self.lb < self.ub:
             self.stats.iterations += 1
             kind = exact if fallback or not greedy else "greedy"
             self.stats.exact_fallbacks += fallback
@@ -172,7 +173,7 @@ class _Run:
         returns whether it did.  Every solution of the run comes through
         here."""
         sv_cost = sum(res.solution_vector)
-        if self.ub is None or sv_cost < self.ub:
+        if sv_cost < self.ub:
             self.ub, self.best_assignment = sv_cost, res.assignment
             return True
         return False
@@ -222,8 +223,8 @@ class _Run:
         total time and the encoding's and hitting problem's counters; a run
         stopped in set-up has neither and keeps those counters' defaults."""
 
-        def off(x: int | None) -> int | None:
-            return None if x is None else x + self.view.constant_offset
+        def off(x: float) -> int | None:
+            return None if x == inf else x + self.view.constant_offset
 
         r = self.stats
         r.status = status
@@ -247,8 +248,7 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
     Deterministic for a fixed (instance, config); the reported optimum equals
     the instance's true minimum cost, merging on or off.  A run that times
     out with no solution of its own reports the feasibility pre-check's."""
-    cfg = cfg or SolverConfig()
-    run = _Run(instance, cfg)
+    run = _Run(instance, cfg or SolverConfig())
     feasible = None
     try:
         run.set_up()
@@ -257,7 +257,7 @@ def solve(instance: WcspInstance, cfg: SolverConfig | None = None) -> RunReport:
             return run.report("infeasible")
         run.loop()
     except SolveDeadlineExceeded:
-        if run.ub is None and feasible is not None:
+        if run.ub == inf and feasible is not None:
             run.record(feasible)
         return run.report("timeout")
     return run.report("optimal")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from operator import itemgetter, mul
 
 from .model import Assignment, CostVector, FullTable, LevelSpace, WcspInstance
@@ -60,11 +60,11 @@ class InducedCspEncoding:
     """One encoding (and one incremental SAT engine) per solver run.
 
     ``space`` is the instance's level grid.  ``deadline``, a
-    ``time.perf_counter()`` reading or None, becomes the solver's, which
+    ``time.perf_counter()`` reading or ``inf``, becomes the solver's, which
     polls it while loading the clauses, and raises ``SolveDeadlineExceeded``
     past it."""
 
-    def __init__(self, instance: WcspInstance, deadline: float | None = None):
+    def __init__(self, instance: WcspInstance, deadline: float = inf):
         self.space = space = LevelSpace.from_instance(instance)
         self.domains = instance.domains
         # each unlisted tuple above the baseline costs one clause, so refuse a
@@ -175,7 +175,7 @@ class InducedCspEncoding:
         starts past it.
         """
         started = time.perf_counter()
-        if self.solver.deadline is not None and started > self.solver.deadline:
+        if started > self.solver.deadline:
             raise SolveDeadlineExceeded
         if len(v) != len(self.sel):
             raise ValueError("cost vector length does not match component count")

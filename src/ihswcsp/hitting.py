@@ -64,10 +64,10 @@ class HittingProblem:
     ``columns[i][c]`` is the witness level of core ``c`` at component ``i``,
     or, where there is none, a value above every level whose distance to any
     level exceeds every increment.  ``deadline`` is a ``time.perf_counter()``
-    reading after which the branch and bound gives up; ``nodes`` counts the
-    nodes it has visited.  A new problem holds no core."""
+    reading (or ``inf``) after which the branch and bound gives up; ``nodes``
+    counts the nodes it has visited.  A new problem holds no core."""
 
-    def __init__(self, space: LevelSpace, deadline: float | None = None):
+    def __init__(self, space: LevelSpace, deadline: float = inf):
         self.space = space
         self.deadline = deadline
         self.nodes = 0
@@ -159,9 +159,9 @@ def _dual_bound(
     return bound
 
 
-def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVector | None:
-    """Depth-first B&B for a hitting vector of cost at most ``limit`` (None
-    means no bound).  With ``first`` it returns the first such leaf;
+def _search(problem: HittingProblem, limit: float, first: bool) -> CostVector | None:
+    """Depth-first B&B for a hitting vector of cost at most ``limit`` (or of
+    any cost at ``inf``).  With ``first`` it returns the first such leaf;
     otherwise each leaf tightens ``limit`` to its own cost and the result is
     the minimum-cost vector, ties broken toward the lexicographically
     smallest.  Without ``first`` it branches on the unhit core with the
@@ -181,7 +181,7 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     holds for any branch core that is a function of ``h`` alone, as the
     ``visited`` set requires, and the deltas and the unhit order are.
 
-    Once a limit exists, a child is pruned while it is built if one unhit
+    Once the limit is finite, a child is pruned while it is built if one unhit
     core's delta exceeds its slack below the limit; a node whose deltas sum
     to more than its slack is pruned if the dual ascent ``_dual_bound`` does
     too.  Both bounds are admissible: every node on the way to the result
@@ -201,21 +201,18 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
     try:
         while True:
             nodes += 1
-            if not nodes & _POLL_MASK and deadline is not None and time.perf_counter() > deadline:
+            if not nodes & _POLL_MASK and time.perf_counter() > deadline:
                 raise SolveDeadlineExceeded
             if unhit is None:  # pruned while built: a delta exceeded the slack
                 pass
             elif not unhit:
                 vec = tuple(h)
-                if limit is None or cost < limit or (
-                    cost == limit and (best is None or vec < best)
-                ):
+                if cost < limit or (cost == limit and (best is None or vec < best)):
                     limit, best = cost, vec
                     if first:
                         return best
             elif (
-                limit is None
-                or sum(deltas) <= limit - cost
+                sum(deltas) <= limit - cost
                 or _dual_bound(limit - cost, unhit, deltas, h, witnesses) <= limit - cost
             ):
                 state = tuple(h)
@@ -229,7 +226,7 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
             # leaf or fail the bound, and so would every later one of its node.
             while stack:
                 branches, parent_cost, parent_unhit, parent_deltas, state = stack[-1]
-                if branches and (limit is None or parent_cost + branches[-1][0] <= limit):
+                if branches and parent_cost + branches[-1][0] <= limit:
                     break
                 stack.pop()
             else:
@@ -238,7 +235,7 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
             h[:] = state
             h[i] = wl
             cost = parent_cost + step
-            slack = inf if limit is None else limit - cost
+            slack = limit - cost
             column = columns[i]
             unhit = []
             deltas = []
@@ -260,15 +257,15 @@ def _search(problem: HittingProblem, limit: int | None, first: bool) -> CostVect
 def min_cost_hv(problem: HittingProblem) -> CostVector:
     """Minimum-cost vector hitting every core; ties broken toward the
     lexicographically smallest vector."""
-    best = _search(problem, None, first=False)
+    best = _search(problem, inf, first=False)
     assert best is not None
     return best
 
 
-def cost_bounded_hv(problem: HittingProblem, ub: int | None) -> CostVector | None:
-    """Any hitting vector of cost strictly below ``ub`` (None means no bound),
+def cost_bounded_hv(problem: HittingProblem, ub: float) -> CostVector | None:
+    """Any hitting vector of cost strictly below ``ub`` (any cost at ``inf``),
     or None when none exists; stops at the first feasible leaf."""
-    return _search(problem, None if ub is None else ub - 1, first=True)
+    return _search(problem, ub - 1, first=True)
 
 
 def greedy_hv(problem: HittingProblem) -> CostVector:

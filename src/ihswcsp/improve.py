@@ -10,6 +10,8 @@ the yes-or-no answer, so it asks the oracle for no core.
 
 from __future__ import annotations
 
+from math import inf
+
 from .encoding import InducedCspEncoding, Satisfiable
 from .model import CostVector
 
@@ -17,7 +19,7 @@ STRATEGIES = ("lazy", "cost-bounded", "partial-max", "maximal")
 
 
 def improve_core(
-    strategy: str, lazy_core: CostVector, ub: int | None, encoding: InducedCspEncoding
+    strategy: str, lazy_core: CostVector, ub: float, encoding: InducedCspEncoding
 ) -> tuple[CostVector, Satisfiable | None]:
     """Improve ``lazy_core``, the core an unsatisfiable answer of ``encoding``
     carries.
@@ -35,14 +37,12 @@ def improve_core(
     if strategy == "lazy":
         return tuple(lazy_core), None
     if strategy != "cost-bounded":
-        ub = None
+        ub = inf
     space = encoding.space
     k = list(lazy_core)
     best: Satisfiable | None = None
     candidates = [i for i in range(len(k)) if k[i] < space.maximum[i]]
-    while candidates:
-        if ub is not None and sum(k) >= ub:
-            break
+    while candidates and sum(k) < ub:
         i = min(candidates, key=lambda i: (k[i], i))
         raised = space.above(i, k[i])
         probe = list(k)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import prod
+from math import inf, prod
 from typing import Iterable
 
 from .model import CostFunction, FullTable, WcspInstance, product_sum
@@ -31,18 +31,18 @@ from .sat import SolveDeadlineExceeded
 MERGE_CAP = 4096  # the most assignments a merged function's table may hold
 
 
-def _poll(deadline: float | None) -> None:
-    if deadline is not None and time.perf_counter() > deadline:
+def _poll(deadline: float) -> None:
+    if time.perf_counter() > deadline:
         raise SolveDeadlineExceeded
 
 
 def min_fill_order(
-    num_vertices: int, edges: Iterable[tuple[int, int]], deadline: float | None = None
+    num_vertices: int, edges: Iterable[tuple[int, int]], deadline: float = inf
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Eliminate the vertex adding the fewest fill edges (ties: lowest index);
     returns the order and the induced clusters (vertex plus its neighbors at
     elimination time).  ``deadline`` (a ``time.perf_counter()`` reading or
-    None) is polled before each elimination.
+    ``inf``) is polled before each elimination.
 
     Fill counts sit in a heap and are kept exact per change, never
     recomputed.  Adding fill edge (a, b) lowers the count of each common
@@ -128,7 +128,7 @@ def _group_by_cluster(w: WcspInstance, clusters: list[tuple[int, ...]]) -> dict[
     return groups
 
 
-def build_merged(w: WcspInstance, deadline: float | None = None) -> MergedProblem:
+def build_merged(w: WcspInstance, deadline: float = inf) -> MergedProblem:
     """Group cost functions by the smallest decomposition cluster containing
     their scope and materialize each multi-function group whose union-scope
     assignment count is within ``MERGE_CAP``, polling ``deadline`` in the

@@ -44,6 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import inf
 
 
 class SolveDeadlineExceeded(RuntimeError):
@@ -76,7 +77,7 @@ class Solver:
 
     Between calls, trail level ``L`` (1-based) holds the assumption
     ``assumed[L-1]`` of the last call; adding clauses cancels every level
-    above 0.  ``deadline``, a ``time.perf_counter()`` reading or None, is
+    above 0.  ``deadline``, a ``time.perf_counter()`` reading or ``inf``, is
     polled every 64 conflicts: past it, a solve cancels to level 0, which
     leaves the solver usable, and raises ``SolveDeadlineExceeded``.
     ``add_clauses`` polls it too, and raises the same past it."""
@@ -102,7 +103,7 @@ class Solver:
         self.cla_inc = 1.0
         self.ok = True
         self.conflicts = 0
-        self.deadline: float | None = None
+        self.deadline = inf
 
     # -- variables and clauses ------------------------------------------------
 
@@ -139,7 +140,7 @@ class Solver:
         stored, watches, trail, val = self.clauses, self.watches, self.trail, self.val
         deadline = self.deadline
         for lits in clauses:
-            if not len(stored) & 4095 and deadline is not None and time.perf_counter() > deadline:
+            if not len(stored) & 4095 and time.perf_counter() > deadline:
                 raise SolveDeadlineExceeded
             if trail or len(lits) < 2 or not self.ok:
                 if not self.ok:
@@ -407,10 +408,9 @@ class Solver:
                 if not trail_lim:
                     self.ok = False
                     return SatResult(False, failed=[])
-                if not self.conflicts & 63 and self.deadline is not None:
-                    if time.perf_counter() > self.deadline:
-                        self.cancel_until(0)
-                        raise SolveDeadlineExceeded
+                if not self.conflicts & 63 and time.perf_counter() > self.deadline:
+                    self.cancel_until(0)
+                    raise SolveDeadlineExceeded
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
                 self._record(learnt)

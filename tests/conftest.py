@@ -1,5 +1,6 @@
 import random
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from ihswcsp.improve import STRATEGIES
 from ihswcsp.wcsp_io import GeneratorParams, brute_force_optimum, gen_scale_free, gen_uniform
 
 
-def grown(space, cores, deadline=None) -> HittingProblem:
+def grown(space, cores, deadline=inf) -> HittingProblem:
     """A ``HittingProblem`` on ``space`` that ``add`` has given ``cores``, in order."""
     problem = HittingProblem(space, deadline)
     for k in cores:

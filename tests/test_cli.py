@@ -40,6 +40,19 @@ def test_solve_unknown_strategy_exits_one(toy_path, capsys):
     assert "argument --merge: expected 'on' or 'off'" in capsys.readouterr().err
 
 
+def test_help_speaks_to_users(capsys, monkeypatch):
+    # the module docstring's developer notes and markup stay out of --help;
+    # solve's help names the flags' values and the exit codes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert "``" not in top and "SolverConfig" not in top
+    assert main(["solve", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--merge {on,off}" in text and "--disjoint {on,off}" in text
+    assert "0 optimal, 2 timeout, 3 infeasible, 1 error" in text
+
+
 def test_solve_missing_file_exits_one(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "nope.wcsp")]) == 1
     assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")

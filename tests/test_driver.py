@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -416,6 +417,27 @@ def test_deadline_holds_in_ub_mode():
     report = solve(w, SolverConfig(hv="ub", core="maximal", time_limit=2))
     assert report.status == "timeout"
     assert report.total_time < 2.5
+
+
+def test_an_infinite_time_limit_runs_as_the_default_one():
+    # time_limit=inf hands inf to every deadline (merging, encoding, SAT,
+    # hitting); the run must then be the default-limit run in every field
+    # but the times.  Most scale-free runs pass the SAT engine's 64-conflict
+    # poll; test_search_polls_deadline runs a search past the 1024-node one.
+    rng = random.Random(32)
+    instances = [gen_scale_free(GeneratorParams(12, 3, 2, 3, 6, seed=1))]
+    instances += [random_tiny_instance(rng) for _ in range(2)]
+    for w in instances:
+        for hv, core, merge in itertools.product(("lb", "ub", "grd-lb"), ("maximal", "cost-bounded"), (False, True)):
+            reports = [
+                solve(w, SolverConfig(hv=hv, core=core, merge=merge, time_limit=limit))
+                for limit in (math.inf, SolverConfig.time_limit)
+            ]
+            unbounded, bounded = (
+                {k: v for k, v in dataclasses.asdict(r).items() if not k.endswith("_time")} for r in reports
+            )
+            assert unbounded == bounded, (w.name, hv, core, merge)
+            assert unbounded["status"] in ("optimal", "infeasible")
 
 
 def test_determinism_of_counters():

@@ -3,6 +3,7 @@ import inspect
 import random
 import sys
 import time
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from ihswcsp.wcsp_io import GeneratorParams, gen_scale_free, gen_uniform
 from oracles import enumerate_hitting, hits, random_cores, random_level_space
 
 
-def _problem(levels, cores, deadline=None):
+def _problem(levels, cores, deadline=inf):
     return grown(LevelSpace(tuple(tuple(ls) for ls in levels)), cores, deadline)
 
 
@@ -74,7 +75,7 @@ def test_core_of_the_wrong_length_is_refused():
 
 def test_cost_bounded_trivial_and_nul():
     p = _problem([(0, 1, 2), (0, 1, 2)], [])
-    assert cost_bounded_hv(p, None) == (0, 0)
+    assert cost_bounded_hv(p, inf) == (0, 0)
     p = _problem([(0, 1, 2), (0, 1, 2)], [(1, 0), (0, 1)])
     assert cost_bounded_hv(p, 2) is None
     h = cost_bounded_hv(p, 3)
@@ -147,6 +148,13 @@ def test_randomized_against_enumeration():
         pinned.append(g)
         assert hits(g, cores)
         assert sum(g) >= expected_cost
+
+        # no bound searches as a bound above every vector's cost does
+        unbounded, bounded = _problem(levels, cores), _problem(levels, cores)
+        got = cost_bounded_hv(unbounded, inf)
+        assert got is not None and hits(got, cores)
+        assert got == cost_bounded_hv(bounded, sum(bounded.space.maximum) + 1)
+        assert unbounded.nodes == bounded.nodes
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PINNED_VECTORS
 
 
@@ -272,6 +280,10 @@ def test_search_polls_deadline():
     with pytest.raises(SolveDeadlineExceeded):
         min_cost_hv(p)
     assert p.nodes == 1024
+    # without a deadline the same search passes every poll and ends
+    p = _problem([(0, 1, 2, 3)] * 30, cores)
+    min_cost_hv(p)
+    assert p.nodes == 3610
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import inf
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_cost_bounded_with_infinite_bound_equals_maximal():
         res = enc.solve_induced(baseline)
         if isinstance(res, Satisfiable):
             continue
-        a = _improve("cost-bounded", res.lazy_core, None, enc)
+        a = _improve("cost-bounded", res.lazy_core, inf, enc)
         enc2 = InducedCspEncoding(w)
         b = _improve("maximal", enc2.solve_induced(baseline).lazy_core, None, enc2)
         assert a == b
@@ -137,7 +138,7 @@ def test_strategy_invariants_on_random_instances():
         probes = {}
         for strategy in ("lazy", "cost-bounded", "partial-max", "maximal"):
             enc_s = InducedCspEncoding(w)
-            core, best, probes[strategy] = _improve(strategy, enc_s.solve_induced(start).lazy_core, None, enc_s)
+            core, best, probes[strategy] = _improve(strategy, enc_s.solve_induced(start).lazy_core, inf, enc_s)
             assert dominates(core, start)
             fresh = InducedCspEncoding(w)
             assert isinstance(fresh.solve_induced(core), Unsatisfiable)

@@ -3,6 +3,8 @@ import itertools
 import random
 import time
 from heapq import heappush
+from math import inf
+from math import inf
 
 import pytest
 
@@ -213,7 +215,7 @@ def test_deadline_interrupts_solve_and_leaves_solver_usable():
     with pytest.raises(SolveDeadlineExceeded):
         s.solve([pos(0)])
     assert s.conflicts == 64 and s.trail_lim == []
-    s.deadline = None
+    s.deadline = inf
     assert s.solve([pos(0)]) == loaded().solve([pos(0)]) == SatResult(False, failed=[pos(0)])
 
 
@@ -546,7 +548,7 @@ def test_add_clauses_past_the_deadline_stores_nothing():
         with pytest.raises(SolveDeadlineExceeded):
             s.add_clauses([list(c) for c in clauses])
         assert s.ok and s.clauses == [] and s.trail == [] and not any(s.watches)
-        s.deadline = None
+        s.deadline = inf
         s.add_clauses([list(c) for c in clauses])
         res = s.solve()
         assert res.sat == truth_table_sat(n, clauses)
